@@ -56,10 +56,10 @@ def main():
         s = flux_ceiling(mesh, args.gamma, args.kappa1, k2)
         print(f" {k2:5.3f}   {s:.8f}   {1.0 - s:9.3e}")
 
-    s_pivot = flux_ceiling(mesh, args.gamma, args.kappa1, args.pivot)
-    eps_min = 0.5 * (1.0 - s_pivot)
-    print(f"\npivot {args.pivot}: ceiling {s_pivot:.10f} -> eps_min {eps_min:.6e}")
-    sched = ct.DEFAULT_SCHEDULE + (eps_min,)
+    sched = ct.deepened_schedule(mesh, args.gamma, args.kappa1, args.pivot)
+    eps_min = sched[-1]
+    print(f"\npivot {args.pivot}: ceiling {1.0 - 2.0 * eps_min:.10f} "
+          f"-> eps_min {eps_min:.6e}")
     print(f"schedule: {sched}")
 
     if args.search:

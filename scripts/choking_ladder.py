@@ -15,9 +15,7 @@ import argparse
 import numpy as np
 
 from spiralflow import continuation as ct
-from spiralflow.gas import GasModel
 from spiralflow.meshing import Circle, build_annulus_mesh
-from spiralflow.radial import RadialBackground
 
 
 def main():
@@ -39,9 +37,7 @@ def main():
     print(f"mesh: h={args.h} R_out={args.r_out} ({mesh.n_triangles} triangles)")
     print(f"ladder: {args.n_seq} rungs on [{args.lo}, {hi:.6f}]")
 
-    bg = RadialBackground(GasModel(args.gamma, 0.1), args.kappa1, 0.794)
-    s_peak = float(np.max(np.sum(bg.stream_gradient(mesh.centroids) ** 2, axis=-1)))
-    sched = ct.DEFAULT_SCHEDULE + (0.5 * (1.0 - s_peak),)
+    sched = ct.deepened_schedule(mesh, args.gamma, args.kappa1, 0.794)
     print(f"schedule: {tuple(round(e, 6) for e in sched)}\n")
 
     study = ct.sonic_limit_study(

@@ -41,7 +41,7 @@ def main():
         body = PerturbedCircle(args.radius, args.amplitude, k)
         for R in args.domains:
             mesh = build_annulus_mesh(body, R, args.h)
-            sol = sv.solve(sv.make_setup(gas, bg, mesh))
+            sol = sv.solve(sv.FlowProblem(gas, bg, mesh))
             rep = sv.decay_report(sol)
             slope = "exact 0" if rep.exact_match else f"{rep.slope:8.4f}"
             print(f"  {k}   {R:5.0f}   {slope}   {-(k + 1):6.1f}       "

@@ -9,7 +9,6 @@ the removability boundary), limit (ladder toward choking).  Exit codes:
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -349,23 +348,6 @@ _RUNNERS = {
 # entry point
 
 
-def _apply_threads(args):
-    raw = args.threads
-    if raw is None:
-        raw = os.environ.get("SPIRALFLOW_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError("threads", f"expected a positive integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError("threads", "thread count must be positive")
-    # best-effort cap for the BLAS pools scipy/numpy use
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spiralflow",
@@ -382,7 +364,6 @@ def build_parser():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--output", default=None, help="artifact directory")
-        p.add_argument("--threads", default=None, help="BLAS thread cap")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
 
@@ -390,7 +371,6 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        _apply_threads(args)
         try:
             raw = Path(args.config).read_bytes()
         except OSError as exc:

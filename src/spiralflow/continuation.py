@@ -90,8 +90,9 @@ def solve_with_truncation_removal(
     """Shrink the truncation width until it stops binding.
 
     Walks the decreasing width schedule, re-solving at each width with
-    the previous minimizer as the starting guess.  Stops at the first
-    width whose solution keeps the mass flux below the exact region,
+    the previous minimizer as the starting guess; only the flux law
+    changes from one width to the next.  Stops at the first width whose
+    solution keeps the mass flux below the exact region,
     s_max < 1 - 2 eps: past that point the truncated and untruncated
     energies coincide near the solution, so the minimizer solves the
     original problem and the result is flagged removed.  If no width in
@@ -99,18 +100,20 @@ def solve_with_truncation_removal(
     False.
     """
     sched = _checked_schedule(schedule)
+    problem = FlowProblem(
+        _gas(background.gamma, sched[0]),
+        background,
+        mesh,
+        far_field=far_field,
+        newton_tol=newton_tol,
+        max_iterations=max_iterations,
+    )
     rungs = []
     sol = None
     guess = initial
     for eps in sched:
-        problem = FlowProblem(
-            _gas(background.gamma, eps),
-            background,
-            mesh,
-            far_field=far_field,
-            newton_tol=newton_tol,
-            max_iterations=max_iterations,
-        )
+        if eps != problem.gas.eps:
+            problem = problem.with_gas(_gas(background.gamma, eps))
         sol = solve(problem, initial=guess)
         guess = sol.u_reduced
         s_max = sol.max_mass_flux_sq()
@@ -128,6 +131,20 @@ def solve_with_truncation_removal(
         if certified:
             return RemovalResult(background, rungs, sol, removed=True)
     return RemovalResult(background, rungs, sol, removed=False)
+
+
+def deepened_schedule(mesh, gamma, kappa1, pivot):
+    """DEFAULT_SCHEDULE ending in a final width calibrated to a circle mesh.
+
+    There the minimizer is the radial background, so s_max at swirl pivot
+    is algebra on the centroids; half the headroom 1 - s_max as the final
+    width flips removal right at the pivot.  Default widths at or below it
+    (coarse meshes) are dropped.
+    """
+    bg = RadialBackground(_gas(gamma, 0.1), kappa1, pivot)
+    s_max = np.max(np.sum(bg.stream_gradient(mesh.centroids) ** 2, axis=-1))
+    eps_min = 0.5 * (1.0 - float(s_max))
+    return tuple(e for e in DEFAULT_SCHEDULE if e > eps_min) + (eps_min,)
 
 
 # ----------------------------------------------------------------------

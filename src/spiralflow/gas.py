@@ -138,7 +138,6 @@ class GasModel:
         self.rho_cut = float(_mass_flux_density_raw(self.gamma, self.s_blend_hi))
         self._build_blend()
         self._build_flux_cache(cache_degree)
-        self._bounds = None
 
     # ------------------------------------------------------------------
     # pointwise closures
@@ -159,37 +158,29 @@ class GasModel:
         rho = _mass_flux_density_raw(self.gamma, s)
         return float(rho) if rho.ndim == 0 else rho
 
-    def _trunc_pair(self, s):
-        """Truncated density and its s-derivative, vectorized, no copies kept."""
+    def truncated_density(self, s):
+        """Elliptic coefficient H~(s): H below the blend window, constant above.
+
+        Evaluated by root solve; this is the oracle the cached flux law is
+        checked against.  Hot paths read 1/F' from flux_eval.
+        """
+        return self._truncated(s)
+
+    def _truncated(self, s):
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
         if np.any(s < 0.0):
             raise DomainError("squared mass flux must be nonnegative")
         val = np.full_like(s, self.rho_cut)
-        der = np.zeros_like(s)
         low = s <= self.s_blend_lo
         if np.any(low):
-            rho = _mass_flux_density_raw(self.gamma, s[low])
-            val[low] = rho
-            der[low] = _mass_flux_density_slope(self.gamma, s[low], rho)
+            val[low] = _mass_flux_density_raw(self.gamma, s[low])
         mid = (s > self.s_blend_lo) & (s < self.s_blend_hi)
         if np.any(mid):
             t = (s[mid] - self.s_blend_lo) / self._blend_width
             val[mid] = _poly.polyval(t, self._blend_coef)
-            der[mid] = _poly.polyval(t, self._blend_der) / self._blend_width
-        if scalar:
-            return float(val[0]), float(der[0])
-        return val, der
-
-    def truncated_density(self, s):
-        """Elliptic coefficient H~(s): H below the blend window, constant above."""
-        return self._trunc_pair(s)[0]
-
-    def flux_potential(self, s):
-        """Cached energy density F(s) = int_0^s dt/H~(t) and its derivative."""
-        f, fp, _ = self.flux_eval(s)
-        return f, fp
+        return float(val[0]) if scalar else val
 
     def flux_eval(self, s):
         """(F, F', F'') from the Chebyshev cache; F'' is 0 past the blend."""
@@ -232,43 +223,35 @@ class GasModel:
     def coefficient_matrix(self, grad):
         """Symmetric coefficient matrix of the linearized operator at grad(psi).
 
-        a = (H~ I - 2 H~' grad grad^T) / H~^2, evaluated at s = |grad|^2.
+        a = F' I + 2 F'' grad grad^T at s = |grad|^2, half the Hessian of
+        F(|grad|^2), with F' and F'' from the cache the energy reads.
         Accepts shape (..., 2); returns shape (..., 2, 2).
         """
         grad = np.asarray(grad, dtype=float)
-        s = np.sum(grad**2, axis=-1)
-        h, hp = self._trunc_pair(s)
-        h = np.asarray(h, dtype=float)
-        hp = np.asarray(hp, dtype=float)
+        _, fp, fpp = self.flux_eval(np.sum(grad**2, axis=-1))
+        fp = np.asarray(fp)[..., None, None]
+        fpp = np.asarray(fpp)[..., None, None]
         outer = grad[..., :, None] * grad[..., None, :]
-        eye = np.eye(2)
-        a = (h[..., None, None] * eye - 2.0 * hp[..., None, None] * outer) / (
-            h[..., None, None] ** 2
-        )
-        return a
+        return fp * np.eye(2) + 2.0 * fpp * outer
 
     def ellipticity_bounds(self, s_cap=2.0):
         """Sampled uniform eigenvalue bounds with 0.99 / 1.01 safety margins.
 
-        The matrix has eigenvalues 1/H~ (orthogonal to the gradient) and
-        (H~ - 2 H~' s)/H~^2 (along it); both depend on s only, so sampling
-        s in [0, s_cap] (densely inside the blend window) suffices.
+        The matrix has eigenvalues F' (orthogonal to the gradient) and
+        F' + 2 s F'' (along it); both depend on s only, so sampling s in
+        [0, s_cap] (densely inside the blend window) suffices.
         """
-        if self._bounds is not None and self._bounds.s_cap == s_cap:
-            return self._bounds
         samples = np.concatenate(
             [
                 np.linspace(0.0, s_cap, 4001),
                 np.linspace(self.s_blend_lo, self.s_blend_hi, 2001),
             ]
         )
-        h, hp = self._trunc_pair(samples)
-        e_perp = 1.0 / h
-        e_par = (h - 2.0 * hp * samples) / h**2
+        _, e_perp, fpp = self.flux_eval(samples)
+        e_par = e_perp + 2.0 * samples * fpp
         lam = 0.99 * min(e_perp.min(), e_par.min())
         Lam = 1.01 * max(e_perp.max(), e_par.max())
-        self._bounds = EllipticityBounds(lam=float(lam), Lam=float(Lam), s_cap=s_cap)
-        return self._bounds
+        return EllipticityBounds(lam=float(lam), Lam=float(Lam), s_cap=s_cap)
 
     def cache_accuracy(self, n=1000, s_cap=2.0):
         """Max deviation of the cached F' from 1/H~ on an s sample."""
@@ -310,7 +293,6 @@ class GasModel:
             if np.any(_poly.polyval(t, der) > 1e-12):
                 raise InternalConsistencyError("blend polynomial is not decreasing")
         self._blend_coef = c
-        self._blend_der = der
         self._blend_width = width
 
     def _piece_breakpoints(self):
@@ -337,7 +319,7 @@ class GasModel:
         for a, b in zip(breaks[:-1], breaks[1:]):
             def fprime(t, a=a, b=b):
                 s = 0.5 * (a + b) + 0.5 * (b - a) * t
-                return 1.0 / self._trunc_pair(np.minimum(s, self.s_blend_hi))[0]
+                return 1.0 / self._truncated(np.minimum(s, self.s_blend_hi))
 
             coef = _cheb.chebinterpolate(fprime, degree)
             integ = _cheb.chebint(coef, scl=0.5 * (b - a))

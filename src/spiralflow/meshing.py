@@ -22,8 +22,19 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
-from .errors import DomainError, MeshQualityError
+from .errors import ConfigError, DomainError, InternalConsistencyError, MeshQualityError
+
+
+def check_finite(contrib, what):
+    """Reject NaN/inf per-triangle contributions, naming the first bad triangle."""
+    flat = np.isfinite(contrib.reshape(contrib.shape[0], -1)).all(axis=1)
+    if not flat.all():
+        t = int(np.argmin(flat))
+        raise InternalConsistencyError(
+            f"non-finite {what} contribution on triangle {t}"
+        )
 
 
 @dataclass(frozen=True)
@@ -81,12 +92,22 @@ class PerturbedCircle:
         return self.base_radius
 
 
+@dataclass(frozen=True)
+class Reduction:
+    """Unknowns of one far-field policy: restriction maps them to nodes."""
+
+    interior_nodes: np.ndarray
+    restriction: sp.csr_matrix
+    laplacian: sp.csr_matrix  # restriction^T K restriction
+    test_norms: np.ndarray  # H1-seminorm of each reduced hat function
+
+
 class TriangleMesh:
     """Triangle mesh of an annulus with body and outer boundary rings.
 
     body_nodes and outer_nodes are index arrays ordered counterclockwise
     along their boundary; node numbering is otherwise arbitrary (tests
-    exercise permuted numberings).
+    exercise permuted numberings).  P1 operators are built on first use.
     """
 
     def __init__(
@@ -106,6 +127,7 @@ class TriangleMesh:
         self.body_theta = body_theta
         self.n_rings = n_rings
         self.n_cols = n_cols
+        self._reductions = {}
 
     @property
     def n_points(self):
@@ -130,6 +152,73 @@ class TriangleMesh:
     @cached_property
     def centroids(self):
         return self.corners.mean(axis=1)
+
+    @cached_property
+    def shape_gradients(self):
+        """P1 shape-function gradients, (n_tri, 3, 2)."""
+        p = self.corners
+        out = np.empty((self.n_triangles, 3, 2))
+        for k in range(3):
+            a = p[:, (k + 1) % 3]
+            b = p[:, (k + 2) % 3]
+            out[:, k, 0] = a[:, 1] - b[:, 1]
+            out[:, k, 1] = b[:, 0] - a[:, 0]
+        return out / (2.0 * self.areas)[:, None, None]
+
+    def stiffness(self, coef):
+        """Assembled P1 matrix for one 2x2 coefficient per triangle, (n_tri, 2, 2)."""
+        B = self.shape_gradients
+        cb = np.einsum("tab,tjb->tja", coef, B)
+        k_loc = np.einsum("tia,tja->tij", B, cb) * self.areas[:, None, None]
+        check_finite(k_loc, "stiffness")
+        t = self.triangles
+        rows = np.repeat(t, 3, axis=1).ravel()
+        cols = np.tile(t, 3).ravel()
+        n = self.n_points
+        return sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+    def reduction(self, far_field):
+        """Free-node numbering and reduced Laplacian, built once per policy.
+
+        far_field "zero" pins the outer ring to zero; "gauge" lets it
+        float on one shared unknown.
+        """
+        if far_field not in ("gauge", "zero"):
+            raise ConfigError("far_field", f"unknown far-field policy {far_field!r}")
+        if far_field not in self._reductions:
+            n = self.n_points
+            free = np.ones(n, dtype=bool)
+            free[self.body_nodes] = free[self.outer_nodes] = False
+            interior = np.nonzero(free)[0]
+            rows, cols = interior, np.arange(interior.size)
+            if far_field == "gauge":
+                rows = np.append(rows, self.outer_nodes)
+                cols = np.append(cols, np.full(self.outer_nodes.size, interior.size))
+            shape = (n, interior.size + (far_field == "gauge"))
+            restriction = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape)
+            eye = np.broadcast_to(np.eye(2), (self.n_triangles, 2, 2))
+            lap = (restriction.T @ self.stiffness(eye) @ restriction).tocsr()
+            norms = np.sqrt(np.maximum(lap.diagonal(), 1e-300))
+            self._reductions[far_field] = Reduction(interior, restriction, lap, norms)
+        return self._reductions[far_field]
+
+    @cached_property
+    def body_edge_triangles(self):
+        """Index of the triangle that owns each edge of body_edge_list()."""
+        t = self.triangles
+        key = [self.n_points, 1]  # undirected edge (a < b) -> a n + b
+        tri_keys = (np.sort(np.stack([t, np.roll(t, -1, axis=1)], -1), -1) @ key).ravel()
+        order = np.argsort(tri_keys, kind="stable")
+        body = self.body_edge_list()
+        wanted = np.sort(body, axis=1) @ key
+        hit = order[np.minimum(np.searchsorted(tri_keys[order], wanted), t.size - 1)]
+        missing = np.nonzero(tri_keys[hit] != wanted)[0]
+        if missing.size:
+            a, b = body[missing[0]]
+            raise InternalConsistencyError(
+                f"body edge ({a}, {b}) is not an edge of any triangle"
+            )
+        return hit // 3
 
     def edges(self, return_counts=False):
         """Unique undirected edges; optionally how many triangles share each."""

@@ -45,22 +45,7 @@ def wavy_body():
 def wavy_problem_small(wavy_body):
     gas = GasModel(2.0, 0.05)
     bg = RadialBackground(gas, 0.3, 0.2)
-    return sv.make_setup(gas, bg, build_annulus_mesh(wavy_body, 16.0, 0.3))
-
-
-def _deepened_schedule(mesh, kappa1=0.6, pivot=0.794, gamma=2.0):
-    """Default truncation schedule plus a mesh-calibrated final level.
-
-    On a circular body the discrete minimizer is the radial background
-    itself, so the largest mass-flux-squared a solve can report at a
-    given swirl is plain algebra on the mesh centroids.  Setting the
-    final truncation width to half the headroom at the pivot swirl makes
-    the removal predicate flip right there, whatever the resolution.
-    """
-    bg = RadialBackground(GasModel(gamma, 0.1), kappa1, pivot)
-    s_peak = float(np.max(np.sum(bg.stream_gradient(mesh.centroids) ** 2, axis=-1)))
-    eps_min = 0.5 * (1.0 - s_peak)
-    return ct.DEFAULT_SCHEDULE + (eps_min,)
+    return sv.FlowProblem(gas, bg, build_annulus_mesh(wavy_body, 16.0, 0.3))
 
 
 def test_gate01_radial_background_reproduced_on_circle(
@@ -73,7 +58,7 @@ def test_gate01_radial_background_reproduced_on_circle(
     errs, walls = {}, {}
     for h, mesh in ((0.1, circle_mesh_mid), (0.05, circle_mesh_fine)):
         t0 = time.perf_counter()
-        sol = sv.solve(sv.make_setup(gas, bg, mesh))
+        sol = sv.solve(sv.FlowProblem(gas, bg, mesh))
         walls[h] = time.perf_counter() - t0
         errs[h] = sv.background_gradient_error(sol)
     order = float(np.log2(errs[0.1] / errs[0.05]))
@@ -102,7 +87,7 @@ def test_gate02_critical_swirl_bracket_on_circle(circle_mesh_fine, verdict):
         circle_mesh_fine,
         n_grid=11,
         tol=0.02,
-        schedule=_deepened_schedule(circle_mesh_fine),
+        schedule=ct.deepened_schedule(circle_mesh_fine, 2.0, 0.6, 0.794),
     )
     wall = time.perf_counter() - t0
     ok = res.lo <= 0.8 <= res.hi and res.width <= 0.02 and wall <= 900.0
@@ -119,7 +104,7 @@ def _ring_slopes(body, gas, kappa1, kappa2):
     slopes = {}
     for R in (32.0, 64.0):
         bg = RadialBackground(gas, kappa1, kappa2)
-        sol = sv.solve(sv.make_setup(gas, bg, build_annulus_mesh(body, R, 0.2)))
+        sol = sv.solve(sv.FlowProblem(gas, bg, build_annulus_mesh(body, R, 0.2)))
         slopes[R] = sv.decay_report(sol).slope
     return slopes
 
@@ -248,7 +233,7 @@ def test_gate07_truncation_level_insensitivity(wavy_body, verdict):
     bg = RadialBackground(GasModel(2.0, 0.1), 0.3, 0.2)
     levels = (0.2, 0.1)
     sols = [
-        sv.solve(sv.make_setup(GasModel(2.0, eps), bg, mesh), newton_tol=1e-11)
+        sv.solve(sv.FlowProblem(GasModel(2.0, eps), bg, mesh), newton_tol=1e-11)
         for eps in levels
     ]
     certified = [
@@ -278,7 +263,7 @@ def test_gate08_choking_ladder(circle_mesh_mid, circle_mesh_fine, verdict):
             0.8,
             8,
             mesh,
-            schedule=_deepened_schedule(mesh),
+            schedule=ct.deepened_schedule(mesh, 2.0, 0.6, 0.794),
         )
         q = study.q_max_sequence()
         finals[h] = float(q[-1])
@@ -304,7 +289,7 @@ def test_gate08_choking_ladder(circle_mesh_mid, circle_mesh_fine, verdict):
 def test_gate09_body_flux_conservation(wavy_body, verdict):
     gas = GasModel(2.0, 0.1)
     bg = RadialBackground(gas, 0.3, 0.2)
-    sol = sv.solve(sv.make_setup(gas, bg, build_annulus_mesh(wavy_body, 16.0, 0.05)))
+    sol = sv.solve(sv.FlowProblem(gas, bg, build_annulus_mesh(wavy_body, 16.0, 0.05)))
     flux = sv.boundary_flux(sol)
     target = 2.0 * np.pi * bg.rho0 * bg.kappa1
     rel = abs(flux - target) / abs(target)

@@ -191,23 +191,6 @@ class TestExitCodes:
         blocker.write_text("a file, not a directory")
         assert main(["solve", "--config", str(cfg), "--output", str(blocker)]) == 4
 
-    def test_bad_threads_exit_2(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path)
-        code = main(
-            ["radial", "--config", str(cfg), "--output", str(tmp_path), "--threads", "zero"]
-        )
-        assert code == 2
-        assert "threads" in capsys.readouterr().err
-
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        cfg = _write_config(tmp_path)
-        monkeypatch.setenv("SPIRALFLOW_THREADS", "-3")
-        assert main(["radial", "--config", str(cfg), "--output", str(tmp_path)]) == 2
-        monkeypatch.setenv("SPIRALFLOW_THREADS", "2")
-        assert main(
-            ["radial", "--config", str(cfg), "--output", str(tmp_path), "--quiet"]
-        ) == 0
-
     def test_module_entry_point(self, tmp_path):
         cfg = _write_config(tmp_path)
         proc = subprocess.run(

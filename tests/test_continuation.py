@@ -67,6 +67,40 @@ class TestRemoval:
         assert rem2.removed
         assert rem2.eps_final == 0.005
 
+    def test_rungs_share_discretization_and_background(self, circle_mesh, monkeypatch):
+        problems, calls = [], []
+        real_solve = ct.solve
+        real_gradient = RadialBackground.stream_gradient
+
+        def recording_solve(problem, **kw):
+            problems.append(problem)
+            return real_solve(problem, **kw)
+
+        def counting_gradient(self, points):
+            calls.append(len(points))
+            return real_gradient(self, points)
+
+        monkeypatch.setattr(ct, "solve", recording_solve)
+        monkeypatch.setattr(RadialBackground, "stream_gradient", counting_gradient)
+        rem = ct.solve_with_truncation_removal(_background(0.6, 0.75), circle_mesh)
+        assert len(problems) == len(rem.rungs) == len(ct.DEFAULT_SCHEDULE)
+        assert [p.gas.eps for p in problems] == list(ct.DEFAULT_SCHEDULE)
+        first = problems[0]
+        for p in problems[1:]:
+            for name in ("mesh", "restriction", "g0", "s0", "dirichlet"):
+                assert getattr(p, name) is getattr(first, name)
+        assert first.restriction is circle_mesh.reduction("gauge").restriction
+        assert calls == [circle_mesh.n_triangles]
+
+    def test_wavy_body_certifies_past_roundoff_stall(self):
+        # at h = 0.05 the last Newton decrement (about 3e-17) is below the
+        # energy's roundoff; an energy-tested line search stalls there
+        mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, 3), 16.0, 0.05)
+        rem = ct.solve_with_truncation_removal(_background(0.3, 0.2), mesh)
+        assert rem.removed
+        assert rem.eps_final == 0.2
+        assert rem.rungs[0].newton_iterations <= 5
+
     def test_consecutive_certified_widths_agree(self, wavy_mesh):
         # once the truncation is slack, every width solves the same
         # untruncated problem; minimizers can differ only by solver tol
@@ -216,17 +250,11 @@ class TestLimitStudy:
         # normalized value is sqrt(kappa1^2 + kappa2^2); the centroid
         # sampling lags that by O(h), so the worst gap should halve
         # from h = 0.1 to h = 0.05
-        def deepened(mesh):
-            bg = _background(0.6, 0.794)
-            s = float(
-                np.max(np.sum(bg.stream_gradient(mesh.centroids) ** 2, axis=-1))
-            )
-            return ct.DEFAULT_SCHEDULE + (0.5 * (1.0 - s),)
-
         worst = {}
         for h, mesh in ((0.1, circle_mesh), (0.05, build_annulus_mesh(Circle(1.0), 8.0, 0.05))):
+            sched = ct.deepened_schedule(mesh, 2.0, 0.6, 0.794)
             study = ct.sonic_limit_study(
-                2.0, 0.6, 0.0, "kappa2", 0.4, 0.8, 6, mesh, schedule=deepened(mesh)
+                2.0, 0.6, 0.0, "kappa2", 0.4, 0.8, 6, mesh, schedule=sched
             )
             gaps = [
                 abs(r.q_max - np.sqrt(0.36 + r.kappa2**2)) for r in study.rungs

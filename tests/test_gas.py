@@ -185,27 +185,27 @@ class TestTruncatedDensity:
 class TestFluxPotential:
     def test_zero_at_zero(self):
         gm = GasModel(2.0, 0.1)
-        F, Fp = gm.flux_potential(0.0)
+        F, Fp, _ = gm.flux_eval(0.0)
         assert abs(F) < 1e-14
         assert Fp == pytest.approx(1.0 / 1.5, rel=1e-12)
 
     def test_frozen_window(self):
         gm = GasModel(2.0, 0.1)
-        F, _ = gm.flux_potential(0.5)
+        F, _, _ = gm.flux_eval(0.5)
         assert 1.0 / 3.0 < F < 0.5
 
     @pytest.mark.parametrize("eps", [0.2, 0.1, 0.0125])
     def test_matches_quadrature_oracle(self, eps):
         gm = GasModel(2.0, eps)
         for s in (0.1, 0.5, 1.0 - 1.5 * eps, 1.2, 2.0):
-            F, _ = gm.flux_potential(s)
+            F, _, _ = gm.flux_eval(s)
             assert F == pytest.approx(oracle_flux(gm, s), abs=1e-8)
 
     def test_derivative_identity(self):
         # cached F' must equal 1/Htilde well below the documented 1e-10
         gm = GasModel(2.0, 0.1)
         s = np.linspace(0.0, 2.0, 1000)
-        _, Fp = gm.flux_potential(s)
+        _, Fp, _ = gm.flux_eval(s)
         assert np.max(np.abs(Fp - 1.0 / gm.truncated_density(s))) <= 1e-10
 
     def test_cache_accuracy_report(self):
@@ -214,14 +214,14 @@ class TestFluxPotential:
 
     def test_linear_tail(self):
         gm = GasModel(2.0, 0.1)
-        F1, _ = gm.flux_potential(1.2)
-        F2, _ = gm.flux_potential(1.7)
+        F1, _, _ = gm.flux_eval(1.2)
+        F2, _, _ = gm.flux_eval(1.7)
         assert F2 - F1 == pytest.approx(0.5 / gm.rho_cut, rel=1e-12)
 
     def test_convex_increasing(self):
         gm = GasModel(2.0, 0.05)
         s = np.linspace(0.0, 2.0, 800)
-        F, _ = gm.flux_potential(s)
+        F, _, _ = gm.flux_eval(s)
         d = np.diff(F)
         assert np.all(d > 0)
         assert np.all(np.diff(d) >= -1e-12)
@@ -251,6 +251,26 @@ class TestCoefficientMatrix:
         w = np.linalg.eigvalsh(a)
         assert np.all(w >= b.lam - 1e-12)
         assert np.all(w <= b.Lam + 1e-12)
+
+    @pytest.mark.parametrize("eps", [0.2, 0.05])
+    def test_matches_root_solve_oracle(self, eps):
+        # the cached F' I + 2 F'' g g^T against (H I - 2 H' g g^T) / H^2
+        # with H from the root solve and H' by central differences of it,
+        # across the exact branch, blend and tail
+        gm = GasModel(2.0, eps)
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(400, 2))
+        g *= (np.sqrt(rng.uniform(0.01, 1.5, 400)) / np.linalg.norm(g, axis=1))[:, None]
+        s = np.sum(g**2, axis=1)
+        d = 1e-6
+        h = gm.truncated_density(s)
+        hp = (gm.truncated_density(s + d) - gm.truncated_density(s - d)) / (2 * d)
+        outer = g[:, :, None] * g[:, None, :]
+        expect = (h[:, None, None] * np.eye(2) - 2.0 * hp[:, None, None] * outer) / (
+            h[:, None, None] ** 2
+        )
+        a = gm.coefficient_matrix(g)
+        assert np.max(np.abs(a - expect)) <= 1e-6 * np.max(np.abs(expect))
 
     def test_rotation_invariant_spectrum(self):
         gm = GasModel(2.0, 0.1)

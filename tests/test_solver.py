@@ -19,14 +19,14 @@ def gas():
 def circle_problem(gas):
     bg = RadialBackground(gas, 0.3, 0.2)
     mesh = build_annulus_mesh(Circle(1.0), 20.0, 0.25)
-    return sv.make_setup(gas, bg, mesh)
+    return sv.FlowProblem(gas, bg, mesh)
 
 
 @pytest.fixture(scope="module")
 def wavy_problem(gas):
     bg = RadialBackground(gas, 0.3, 0.2)
     mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, 3), 16.0, 0.3)
-    return sv.make_setup(gas, bg, mesh)
+    return sv.FlowProblem(gas, bg, mesh)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +50,7 @@ class TestCircleAnchor:
         # total gradient stays exactly radial
         bg = RadialBackground(gas, 0.3, 0.2)
         mesh = build_annulus_mesh(Circle(1.3), 20.0, 0.25)
-        sol = sv.solve(sv.make_setup(gas, bg, mesh, far_field="gauge"), newton_tol=1e-13)
+        sol = sv.solve(sv.FlowProblem(gas, bg, mesh, far_field="gauge"), newton_tol=1e-13)
         du = np.linalg.norm(sol.problem.u_gradients(sol.u_full), axis=-1)
         assert np.max(du) <= 1e-10
 
@@ -59,7 +59,7 @@ class TestCircleAnchor:
         # and excites the spurious log mode
         bg = RadialBackground(gas, 0.3, 0.2)
         mesh = build_annulus_mesh(Circle(1.3), 20.0, 0.25)
-        sol = sv.solve(sv.make_setup(gas, bg, mesh, far_field="zero"))
+        sol = sv.solve(sv.FlowProblem(gas, bg, mesh, far_field="zero"))
         du = np.linalg.norm(sol.problem.u_gradients(sol.u_full), axis=-1)
         assert np.max(du) > 1e-4
 
@@ -101,8 +101,8 @@ class TestDerivatives:
         # uniform ellipticity of the truncated flux law transfers verbatim
         # to the assembled matrices: 2*lam*K <= H <= 2*Lam*K in quadratic form
         rng = np.random.default_rng(9)
-        K = wavy_problem.laplacian_reduced
-        bounds = wavy_problem.ellipticity
+        K = wavy_problem.mesh.reduction(wavy_problem.far_field).laplacian
+        bounds = wavy_problem.gas.ellipticity_bounds()
         for _ in range(10):
             u = 0.1 * rng.standard_normal(wavy_problem.n_reduced)
             H = wavy_problem.hessian(u)
@@ -162,7 +162,7 @@ class TestInvariance:
             body_theta=mesh.body_theta,
         )
         bg = wavy_solution.problem.background
-        psol = sv.solve(sv.make_setup(gas, bg, pmesh))
+        psol = sv.solve(sv.FlowProblem(gas, bg, pmesh))
         assert np.max(np.abs(psol.u_full[perm] - wavy_solution.u_full)) <= 1e-8
 
 
@@ -194,7 +194,7 @@ class TestResiduals:
         vals = []
         for h in (0.2, 0.1):
             mesh = build_annulus_mesh(Circle(1.0), 8.0, h)
-            sol = sv.solve(sv.make_setup(gas, bg, mesh))
+            sol = sv.solve(sv.FlowProblem(gas, bg, mesh))
             irrot, mass = sv.weak_residuals(sol, include_background=True)
             vals.append(max(irrot, mass))
         assert vals[1] <= vals[0] / 3.0
@@ -214,7 +214,7 @@ class TestDiagnostics:
         errs = []
         for h in (0.2, 0.1):
             mesh = build_annulus_mesh(Circle(1.0), 8.0, h)
-            sol = sv.solve(sv.make_setup(gas, bg, mesh))
+            sol = sv.solve(sv.FlowProblem(gas, bg, mesh))
             errs.append(abs(sv.boundary_flux(sol) - expect) / expect)
         assert errs[0] <= 0.02
         assert errs[1] <= errs[0] / 2.5
@@ -224,11 +224,54 @@ class TestDiagnostics:
         errs = []
         for h in (0.2, 0.1):
             mesh = build_annulus_mesh(Circle(1.0), 8.0, h)
-            sol = sv.solve(sv.make_setup(gas, bg, mesh))
+            sol = sv.solve(sv.FlowProblem(gas, bg, mesh))
             errs.append(sv.background_gradient_error(sol))
         assert errs[1] <= 0.05
         order = np.log(errs[0] / errs[1]) / np.log(2.0)
         assert order >= 0.9
+
+    def test_boundary_flux_matches_edge_loop(self, wavy_solution):
+        # reference: the per-edge rule, one triangle lookup and one
+        # background evaluation per body edge
+        pr = wavy_solution.problem
+        mesh = pr.mesh
+        du = pr.u_gradients(wavy_solution.u_full)
+        expect = 0.0
+        for a, b in mesh.body_edge_list():
+            t = next(
+                i for i, tri in enumerate(mesh.triangles) if a in tri and b in tri
+            )
+            mid = 0.5 * (mesh.points[a] + mesh.points[b])
+            e = mesh.points[b] - mesh.points[a]
+            w = du[t] + pr.background.stream_gradient(mid)
+            expect += w[1] * e[1] + w[0] * e[0]
+        assert sv.boundary_flux(wavy_solution) == pytest.approx(expect, rel=1e-12)
+
+    def test_boundary_flux_names_unowned_body_edge(self, gas, wavy_problem):
+        mesh = wavy_problem.mesh
+        body = mesh.body_nodes.copy()
+        body[[3, 4]] = body[[4, 3]]
+        bad = TriangleMesh(mesh.points, mesh.triangles, body, mesh.outer_nodes)
+        pr = sv.FlowProblem(gas, wavy_problem.background, bad)
+        u = np.zeros(pr.n_reduced)
+        sol = sv.FlowSolution(
+            problem=pr,
+            u_reduced=u,
+            u_full=pr.full_vector(u),
+            newton_iterations=0,
+            gradient_norm=np.nan,
+            energy=np.nan,
+        )
+        with pytest.raises(InternalConsistencyError, match=r"body edge \(\d+, \d+\)"):
+            sv.boundary_flux(sol)
+
+    def test_density_matches_root_solve_oracle(self, wavy_solution):
+        # hot paths read 1/F' from the cache; the root solve is the oracle
+        rho = wavy_solution.reconstructed_density()
+        exact = wavy_solution.problem.gas.truncated_density(wavy_solution.mass_flux_sq)
+        assert np.max(np.abs(rho - exact) / exact) <= 1e-12
+        fields = sv.recover_fields(wavy_solution)
+        assert np.array_equal(fields.density, rho)
 
     def test_recover_fields_consistency(self, wavy_solution):
         fields = sv.recover_fields(wavy_solution)
@@ -255,7 +298,7 @@ class TestDiagnostics:
         # has order 3, so |grad u| ~ r^-4
         bg = RadialBackground(gas, 0.3, 0.2)
         mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, 3), 32.0, 0.2)
-        sol = sv.solve(sv.make_setup(gas, bg, mesh))
+        sol = sv.solve(sv.FlowProblem(gas, bg, mesh))
         rep = sv.decay_report(sol)
         assert not rep.exact_match
         assert -5.0 <= rep.slope <= -3.2
@@ -264,7 +307,7 @@ class TestDiagnostics:
 class TestValidation:
     def test_bad_far_field(self, gas, wavy_problem):
         with pytest.raises(ConfigError, match="far_field"):
-            sv.make_setup(gas, wavy_problem.background, wavy_problem.mesh, far_field="open")
+            sv.FlowProblem(gas, wavy_problem.background, wavy_problem.mesh, far_field="open")
 
     def test_bad_initial_size(self, wavy_problem):
         with pytest.raises(ConfigError, match="wrong size"):
@@ -272,11 +315,11 @@ class TestValidation:
 
     def test_bad_newton_settings(self, gas, wavy_problem):
         with pytest.raises(ConfigError):
-            sv.make_setup(
+            sv.FlowProblem(
                 gas, wavy_problem.background, wavy_problem.mesh, newton_tol=-1.0
             )
         with pytest.raises(ConfigError):
-            sv.make_setup(
+            sv.FlowProblem(
                 gas, wavy_problem.background, wavy_problem.mesh, max_iterations=0
             )
 
