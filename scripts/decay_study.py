@@ -43,13 +43,17 @@ def main():
             mesh = build_annulus_mesh(body, R, args.h)
             sol = sv.solve(sv.FlowProblem(gas, bg, mesh))
             rep = sv.decay_report(sol)
-            slope = "exact 0" if rep.exact_match else f"{rep.slope:8.4f}"
+            if rep.exact_match:
+                slope = "exact 0"
+            else:
+                slope = f"{'n/a':>8}" if rep.slope is None else f"{rep.slope:8.4f}"
             print(f"  {k}   {R:5.0f}   {slope}   {-(k + 1):6.1f}       "
                   f"{sol.newton_iterations}")
         print()
 
     print("rings are geometric between twice the body scale and half the "
-          "domain radius; slopes are least squares in log-log")
+          "domain radius; slopes are least squares in log-log, n/a below "
+          "two rings")
 
 
 if __name__ == "__main__":

@@ -10,12 +10,13 @@ the removability boundary), limit (ladder toward choking).  Exit codes:
 import argparse
 import json
 import sys
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import continuation as ct
-from .config import parse_config, sweep_values
+from .config import parse_config
 from .errors import (
     ConfigError,
     InternalConsistencyError,
@@ -100,8 +101,7 @@ def _base_report(cfg):
 
 
 def _run_radial(cfg, outdir, quiet):
-    section = cfg.radial or {}
-    r_max = float(section.get("r_max", 50.0))
+    r_max = cfg.radial.r_max
     bg = _background(cfg)
     cls = bg.classify(r_max=r_max)
     m1sq, m2sq, _ = bg.mach_numbers_at_body()
@@ -170,17 +170,7 @@ def _run_solve(cfg, outdir, quiet):
             },
             "removed": rem.removed,
             "eps_final": rem.eps_final,
-            "rungs": [
-                {
-                    "eps": r.eps,
-                    "s_max": r.s_max,
-                    "q_max": r.q_max,
-                    "energy": r.energy,
-                    "newton_iterations": r.newton_iterations,
-                    "certified": r.certified,
-                }
-                for r in rem.rungs
-            ],
+            "rungs": [asdict(r) for r in rem.rungs],
             "energy": rem.energy,
             "q_max": rem.q_max,
             "s_max": rem.s_max,
@@ -202,34 +192,22 @@ def _run_solve(cfg, outdir, quiet):
     )
 
 
-def _sweep_like_csv(path, rows):
-    _write_csv(
-        path,
-        ("kappa1", "kappa2", "eps", "q_max", "s_max", "energy", "removed", "converged"),
-        rows,
-    )
+_SWEEP_COLUMNS = tuple(f.name for f in fields(ct.SweepRow))
 
 
 def _run_sweep(cfg, outdir, quiet):
-    values = sweep_values(cfg)
     res = ct.parameter_sweep(
         cfg.gamma,
         cfg.kappa1,
         cfg.kappa2,
         cfg.axis,
-        values,
+        cfg.section("grid"),
         _mesh(cfg),
         schedule=cfg.eps_schedule,
         far_field=cfg.far_field,
         newton_tol=cfg.tolerances.newton_tol,
     )
-    _sweep_like_csv(
-        outdir / "sweep.csv",
-        [
-            (r.kappa1, r.kappa2, r.eps, r.q_max, r.s_max, r.energy, r.removed, r.converged)
-            for r in res.rows
-        ],
-    )
+    _write_csv(outdir / "sweep.csv", _SWEEP_COLUMNS, map(astuple, res.rows))
     report = _base_report(cfg)
     report.update(
         {
@@ -246,18 +224,15 @@ def _run_sweep(cfg, outdir, quiet):
 
 def _run_critical(cfg, outdir, quiet):
     search = cfg.section("search")
-    lo = float(search.get("lo", 0.05))
-    hi = float(search.get("hi", 0.9))
-    n_grid = int(search.get("n_grid", 9))
     res = ct.find_critical_parameter(
         cfg.gamma,
         cfg.kappa1,
         cfg.kappa2,
         cfg.axis,
-        lo,
-        hi,
+        search.lo,
+        search.hi,
         _mesh(cfg),
-        n_grid=n_grid,
+        n_grid=search.n_grid,
         tol=cfg.tolerances.critical_tol,
         schedule=cfg.eps_schedule,
         far_field=cfg.far_field,
@@ -283,56 +258,42 @@ def _run_critical(cfg, outdir, quiet):
 
 def _run_limit(cfg, outdir, quiet):
     ladder = cfg.section("ladder")
-    lo = float(ladder.get("lo", 0.1))
-    hi = float(ladder.get("hi", 0.8))
-    n_seq = int(ladder.get("n_seq", 6))
-    annulus = tuple(ladder.get("annulus", (1.5, 4.0)))
     study = ct.sonic_limit_study(
         cfg.gamma,
         cfg.kappa1,
         cfg.kappa2,
         cfg.axis,
-        lo,
-        hi,
-        n_seq,
+        ladder.lo,
+        ladder.hi,
+        ladder.n_seq,
         _mesh(cfg),
-        annulus=annulus,
+        annulus=ladder.annulus,
         schedule=cfg.eps_schedule,
         far_field=cfg.far_field,
         newton_tol=cfg.tolerances.newton_tol,
     )
-    _sweep_like_csv(
+    rungs = [asdict(r) for r in study.rungs]
+    # every rung converged; the CSV shares the sweep's columns
+    rows = ({**r, "converged": True} for r in rungs)
+    _write_csv(
         outdir / "ladder.csv",
-        [
-            (r.kappa1, r.kappa2, r.eps, r.q_max, r.s_max, r.energy, r.removed, True)
-            for r in study.rungs
-        ],
+        _SWEEP_COLUMNS,
+        ([row[c] for c in _SWEEP_COLUMNS] for row in rows),
     )
     report = _base_report(cfg)
     report.update(
         {
             "axis": cfg.axis,
             "annulus": list(study.annulus),
-            "n_seq": n_seq,
-            "rungs": [
-                {
-                    "kappa1": r.kappa1,
-                    "kappa2": r.kappa2,
-                    "eps": r.eps,
-                    "removed": r.removed,
-                    "q_max": r.q_max,
-                    "s_max": r.s_max,
-                    "energy": r.energy,
-                    "irrot_residual": r.irrot_residual,
-                    "mass_residual": r.mass_residual,
-                    "velocity_shift": r.velocity_shift,
-                }
-                for r in study.rungs
-            ],
+            "n_seq": ladder.n_seq,
+            "rungs": rungs,
         }
     )
     _write_json(outdir / "report.json", report)
-    _say(quiet, f"ladder of {n_seq} rungs; final q_max = {study.rungs[-1].q_max:.6g}")
+    _say(
+        quiet,
+        f"ladder of {ladder.n_seq} rungs; final q_max = {study.rungs[-1].q_max:.6g}",
+    )
 
 
 _RUNNERS = {

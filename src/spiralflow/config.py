@@ -8,10 +8,12 @@ frozen dataclasses; nothing here ever writes back to the file.
 
 import hashlib
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
+from .continuation import checked_schedule
 from .errors import ConfigError, DomainError
 from .meshing import Circle, PerturbedCircle
+from .solver import NEWTON_TOL
 
 SPEC_VERSION = 1
 
@@ -30,26 +32,33 @@ def _expect(mapping, key, path):
     return mapping[key]
 
 
-def _number(mapping, key, path, default=None):
-    if key not in mapping:
-        if default is None:
-            raise ConfigError(f"{path}{key}", "missing required field")
-        return float(default)
-    v = mapping[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _number(mapping, key, path):
+    v = _expect(mapping, key, path)
+    if not _is_number(v):
         raise ConfigError(f"{path}{key}", f"expected a number, got {v!r}")
     return float(v)
 
 
-def _integer(mapping, key, path, default=None):
-    if key not in mapping:
-        if default is None:
-            raise ConfigError(f"{path}{key}", "missing required field")
-        return int(default)
-    v = mapping[key]
+def _integer(mapping, key, path):
+    v = _expect(mapping, key, path)
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{path}{key}", f"expected an integer, got {v!r}")
     return v
+
+
+def _numbers(mapping, key, path):
+    """A non-empty list of numbers, as a tuple of floats."""
+    v = _expect(mapping, key, path)
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{path}{key}", "expected a non-empty list")
+    for i, x in enumerate(v):
+        if not _is_number(x):
+            raise ConfigError(f"{path}{key}[{i}]", f"expected a number, got {x!r}")
+    return tuple(float(x) for x in v)
 
 
 @dataclass(frozen=True)
@@ -76,8 +85,28 @@ class MeshSpec:
 
 @dataclass(frozen=True)
 class Tolerances:
-    newton_tol: float = 1e-9
+    newton_tol: float = NEWTON_TOL
     critical_tol: float = 0.01
+
+
+@dataclass(frozen=True)
+class SearchSpec:
+    lo: float = 0.05
+    hi: float = 0.9
+    n_grid: int = 9
+
+
+@dataclass(frozen=True)
+class LadderSpec:
+    lo: float = 0.1
+    hi: float = 0.8
+    n_seq: int = 6
+    annulus: tuple = (1.5, 4.0)  # (r_in, r_out) of the velocity probe
+
+
+@dataclass(frozen=True)
+class RadialSpec:
+    r_max: float = 50.0  # outer radius of the Mach-number integration
 
 
 @dataclass(frozen=True)
@@ -93,10 +122,10 @@ class RunConfig:
     far_field: str = "gauge"
     tolerances: Tolerances = dc_field(default_factory=Tolerances)
     axis: str = "kappa2"
-    grid: dict | None = None
-    search: dict | None = None
-    ladder: dict | None = None
-    radial: dict | None = None
+    grid: tuple | None = None  # the swept parameter values
+    search: SearchSpec | None = None
+    ladder: LadderSpec | None = None
+    radial: RadialSpec = dc_field(default_factory=RadialSpec)
     output_dir: str | None = None
     sha1: str = ""
 
@@ -107,10 +136,15 @@ class RunConfig:
         return value
 
 
+def _object(doc, name):
+    section = _expect(doc, name, "")
+    if not isinstance(section, dict):
+        raise ConfigError(name, "expected an object")
+    return section
+
+
 def _parse_body(doc):
-    body = _expect(doc, "body", "")
-    if not isinstance(body, dict):
-        raise ConfigError("body", "expected an object")
+    body = _object(doc, "body")
     kind = _expect(body, "kind", "body.")
     if kind not in ("circle", "perturbed_circle"):
         raise ConfigError("body.kind", f"unknown body kind {kind!r}")
@@ -129,9 +163,7 @@ def _parse_body(doc):
 
 
 def _parse_mesh(doc, body_spec):
-    mesh = _expect(doc, "mesh", "")
-    if not isinstance(mesh, dict):
-        raise ConfigError("mesh", "expected an object")
+    mesh = _object(doc, "mesh")
     h = _number(mesh, "h", "mesh.")
     if h <= 0:
         raise ConfigError("mesh.h", "mesh spacing must be positive")
@@ -144,22 +176,34 @@ def _parse_mesh(doc, body_spec):
     return MeshSpec(h=h, R_out=r_out)
 
 
-def _parse_schedule(doc):
-    if "eps_schedule" not in doc:
-        return None
-    sched = doc["eps_schedule"]
-    if not isinstance(sched, list) or not sched:
-        raise ConfigError("eps_schedule", "expected a non-empty list")
-    vals = []
-    for i, v in enumerate(sched):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"eps_schedule[{i}]", f"expected a number, got {v!r}")
-        vals.append(float(v))
-    if any(not (0 < v < 0.5) for v in vals):
-        raise ConfigError("eps_schedule", "every width must lie in (0, 1/2)")
-    if any(b >= a for a, b in zip(vals, vals[1:])):
-        raise ConfigError("eps_schedule", "widths must decrease strictly")
-    return tuple(vals)
+_PARSERS = {float: _number, int: _integer, tuple: _numbers}
+
+
+def _parse_section(doc, name, spec):
+    """An optional section as its spec; absent fields keep the spec's defaults."""
+    if name not in doc:
+        return spec()
+    section = _object(doc, name)
+    present = [f for f in fields(spec) if f.name in section]
+    return spec(
+        **{f.name: _PARSERS[f.type](section, f.name, f"{name}.") for f in present}
+    )
+
+
+def _parse_grid(doc):
+    """Swept values: an explicit list, or num evenly spaced from start to stop."""
+    grid = _object(doc, "grid")
+    if "values" in grid:
+        return _numbers(grid, "values", "grid.")
+    start = _number(grid, "start", "grid.")
+    stop = _number(grid, "stop", "grid.")
+    num = _integer(grid, "num", "grid.")
+    if num < 2:
+        raise ConfigError("grid.num", "need at least 2 grid points")
+    if not (stop > start):
+        raise ConfigError("grid.stop", "need stop > start")
+    step = (stop - start) / (num - 1)
+    return tuple(start + i * step for i in range(num))
 
 
 def parse_config(raw: bytes) -> RunConfig:
@@ -190,6 +234,10 @@ def parse_config(raw: bytes) -> RunConfig:
     body_spec = _parse_body(doc)
     mesh_spec = _parse_mesh(doc, body_spec)
 
+    eps_schedule = None
+    if "eps_schedule" in doc:
+        eps_schedule = checked_schedule(_numbers(doc, "eps_schedule", ""), "eps_schedule")
+
     far_field = doc.get("far_field", "gauge")
     if far_field not in ("gauge", "zero"):
         raise ConfigError("far_field", f"unknown far-field policy {far_field!r}")
@@ -198,19 +246,20 @@ def parse_config(raw: bytes) -> RunConfig:
     if axis not in ("kappa1", "kappa2"):
         raise ConfigError("axis", f"unknown sweep axis {axis!r}")
 
-    tol_doc = doc.get("tolerances", {})
-    if not isinstance(tol_doc, dict):
-        raise ConfigError("tolerances", "expected an object")
-    newton_tol = _number(tol_doc, "newton_tol", "tolerances.", default=1e-9)
-    if newton_tol <= 0:
+    tolerances = _parse_section(doc, "tolerances", Tolerances)
+    if tolerances.newton_tol <= 0:
         raise ConfigError("tolerances.newton_tol", "must be positive")
-    critical_tol = _number(tol_doc, "critical_tol", "tolerances.", default=0.01)
-    if critical_tol < 1e-3:
+    if tolerances.critical_tol < 1e-3:
         raise ConfigError("tolerances.critical_tol", "below the 1e-3 floor")
 
-    for section in ("grid", "search", "ladder", "radial"):
-        if section in doc and not isinstance(doc[section], dict):
-            raise ConfigError(section, "expected an object")
+    grid = _parse_grid(doc) if "grid" in doc else None
+    search = _parse_section(doc, "search", SearchSpec) if "search" in doc else None
+    ladder = _parse_section(doc, "ladder", LadderSpec) if "ladder" in doc else None
+    if ladder is not None and len(ladder.annulus) != 2:
+        raise ConfigError("ladder.annulus", "expected [r_in, r_out]")
+    radial = _parse_section(doc, "radial", RadialSpec)
+    if not radial.r_max > 1.0:
+        raise ConfigError("radial.r_max", "must exceed 1, the body radius")
 
     output_dir = doc.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
@@ -222,38 +271,14 @@ def parse_config(raw: bytes) -> RunConfig:
         kappa2=kappa2,
         body=body_spec,
         mesh=mesh_spec,
-        eps_schedule=_parse_schedule(doc),
+        eps_schedule=eps_schedule,
         far_field=far_field,
-        tolerances=Tolerances(newton_tol=newton_tol, critical_tol=critical_tol),
+        tolerances=tolerances,
         axis=axis,
-        grid=doc.get("grid"),
-        search=doc.get("search"),
-        ladder=doc.get("ladder"),
-        radial=doc.get("radial"),
+        grid=grid,
+        search=search,
+        ladder=ladder,
+        radial=radial,
         output_dir=output_dir,
         sha1=config_blob_sha1(raw),
     )
-
-
-def sweep_values(cfg: RunConfig):
-    """Grid of swept parameter values from the config's grid section."""
-    grid = cfg.section("grid")
-    if "values" in grid:
-        vals = grid["values"]
-        if not isinstance(vals, list) or not vals:
-            raise ConfigError("grid.values", "expected a non-empty list")
-        out = []
-        for i, v in enumerate(vals):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"grid.values[{i}]", f"expected a number, got {v!r}")
-            out.append(float(v))
-        return out
-    start = _number(grid, "start", "grid.")
-    stop = _number(grid, "stop", "grid.")
-    num = _integer(grid, "num", "grid.")
-    if num < 2:
-        raise ConfigError("grid.num", "need at least 2 grid points")
-    if not (stop > start):
-        raise ConfigError("grid.stop", "need stop > start")
-    step = (stop - start) / (num - 1)
-    return [start + i * step for i in range(num)]

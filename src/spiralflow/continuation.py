@@ -15,9 +15,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, NonConvergenceError, NonMonotoneError, RegimeError
-from .gas import GasModel
+from .gas import EPS_MAX, GasModel
 from .radial import RadialBackground
-from .solver import FlowProblem, FlowSolution, recover_fields, solve, weak_residuals
+from .solver import (
+    NEWTON_TOL,
+    FlowProblem,
+    FlowSolution,
+    recover_fields,
+    solve,
+    weak_residuals,
+)
 
 DEFAULT_SCHEDULE = (0.2, 0.1, 0.05, 0.025, 0.0125)
 
@@ -29,14 +36,19 @@ def _gas(gamma, eps):
     return GasModel(gamma, eps)
 
 
-def _checked_schedule(schedule):
+def checked_schedule(schedule, path="schedule"):
+    """The truncation widths as a tuple, DEFAULT_SCHEDULE for None.
+
+    A schedule is non-empty and strictly decreasing, and every width is
+    one GasModel accepts; violations raise ConfigError at path.
+    """
     sched = DEFAULT_SCHEDULE if schedule is None else tuple(float(e) for e in schedule)
     if len(sched) == 0:
-        raise ConfigError("schedule", "empty truncation schedule")
-    if any(not (0.0 < e < 0.5) for e in sched):
-        raise ConfigError("schedule", "every width must lie in (0, 1/2)")
+        raise ConfigError(path, "empty truncation schedule")
+    if any(not (0.0 < e < EPS_MAX) for e in sched):
+        raise ConfigError(path, f"every width must lie in (0, {EPS_MAX:g})")
     if any(b >= a for a, b in zip(sched, sched[1:])):
-        raise ConfigError("schedule", "widths must decrease strictly")
+        raise ConfigError(path, "widths must decrease strictly")
     return sched
 
 
@@ -83,8 +95,7 @@ def solve_with_truncation_removal(
     mesh,
     schedule=None,
     far_field="gauge",
-    newton_tol=1e-9,
-    max_iterations=50,
+    newton_tol=NEWTON_TOL,
     initial=None,
 ):
     """Shrink the truncation width until it stops binding.
@@ -99,14 +110,13 @@ def solve_with_truncation_removal(
     the schedule certifies, the last solve is returned with removed
     False.
     """
-    sched = _checked_schedule(schedule)
+    sched = checked_schedule(schedule)
     problem = FlowProblem(
         _gas(background.gamma, sched[0]),
         background,
         mesh,
         far_field=far_field,
         newton_tol=newton_tol,
-        max_iterations=max_iterations,
     )
     rungs = []
     sol = None
@@ -196,6 +206,32 @@ def _kappa_pair(kappa1, kappa2, axis, value):
     return float(kappa1), float(value)
 
 
+def _removal_step(gamma, kappa1, kappa2, axis, mesh, schedule, far_field, newton_tol):
+    """The certified removal solve as a function of the axis value.
+
+    The returned step(value, initial=None) sets the axis parameter to
+    value, holds the other at its given value, and runs
+    solve_with_truncation_removal from the optional warm start.
+    """
+    axis = SweepAxis(axis)
+    sched = checked_schedule(schedule)
+
+    def step(value, initial=None):
+        background = RadialBackground(
+            _gas(gamma, sched[0]), *_kappa_pair(kappa1, kappa2, axis, value)
+        )
+        return solve_with_truncation_removal(
+            background,
+            mesh,
+            schedule=sched,
+            far_field=far_field,
+            newton_tol=newton_tol,
+            initial=initial,
+        )
+
+    return step
+
+
 def parameter_sweep(
     gamma,
     kappa1,
@@ -205,8 +241,7 @@ def parameter_sweep(
     mesh,
     schedule=None,
     far_field="gauge",
-    newton_tol=1e-9,
-    max_iterations=50,
+    newton_tol=NEWTON_TOL,
 ):
     """March one swirl parameter across a value list, warm-starting.
 
@@ -215,22 +250,13 @@ def parameter_sweep(
     continues from a cold start.
     """
     axis = SweepAxis(axis)
-    sched = _checked_schedule(schedule)
+    step = _removal_step(gamma, kappa1, kappa2, axis, mesh, schedule, far_field, newton_tol)
     result = SweepResult(axis=axis)
     guess = None
     for v in values:
         k1, k2 = _kappa_pair(kappa1, kappa2, axis, v)
-        background = RadialBackground(_gas(gamma, sched[0]), k1, k2)
         try:
-            rem = solve_with_truncation_removal(
-                background,
-                mesh,
-                schedule=sched,
-                far_field=far_field,
-                newton_tol=newton_tol,
-                max_iterations=max_iterations,
-                initial=guess,
-            )
+            rem = step(v, initial=guess)
         except NonConvergenceError:
             result.rows.append(
                 SweepRow(k1, k2, np.nan, np.nan, np.nan, np.nan, False, False)
@@ -286,8 +312,7 @@ def find_critical_parameter(
     tol=0.01,
     schedule=None,
     far_field="gauge",
-    newton_tol=1e-9,
-    max_iterations=50,
+    newton_tol=NEWTON_TOL,
 ):
     """Bisect for the parameter where truncation removal first fails.
 
@@ -299,7 +324,7 @@ def find_critical_parameter(
     admissible ceiling before giving up.  Bisection then narrows the
     leading true/false pair to the requested width.
     """
-    axis = SweepAxis(axis)
+    step = _removal_step(gamma, kappa1, kappa2, axis, mesh, schedule, far_field, newton_tol)
     if not (hi > lo):
         raise ConfigError("search", "need lo < hi")
     if tol < 1e-3:
@@ -310,16 +335,7 @@ def find_critical_parameter(
     evaluations = []
 
     def removed(v):
-        k1, k2 = _kappa_pair(kappa1, kappa2, axis, v)
-        background = RadialBackground(_gas(gamma, 0.1), k1, k2)
-        rem = solve_with_truncation_removal(
-            background,
-            mesh,
-            schedule=schedule,
-            far_field=far_field,
-            newton_tol=newton_tol,
-            max_iterations=max_iterations,
-        )
+        rem = step(v)
         evaluations.append((float(v), rem.removed))
         return rem.removed
 
@@ -416,8 +432,7 @@ def sonic_limit_study(
     annulus=(1.5, 4.0),
     schedule=None,
     far_field="gauge",
-    newton_tol=1e-9,
-    max_iterations=50,
+    newton_tol=NEWTON_TOL,
 ):
     """Climb half the remaining gap toward hi at every ladder rung.
 
@@ -429,7 +444,7 @@ def sonic_limit_study(
     record of how the flow settles as the parameter closes in on
     choking.
     """
-    axis = SweepAxis(axis)
+    step = _removal_step(gamma, kappa1, kappa2, axis, mesh, schedule, far_field, newton_tol)
     if n_seq < 2:
         raise ConfigError("n_seq", "a ladder needs at least 2 rungs")
     if not (hi > lo):
@@ -446,18 +461,7 @@ def sonic_limit_study(
     prev_velocity = None
     guess = None
     for j in range(n_seq):
-        v = hi - (hi - lo) * 2.0 ** (-j)
-        k1, k2 = _kappa_pair(kappa1, kappa2, axis, v)
-        background = RadialBackground(_gas(gamma, 0.1), k1, k2)
-        rem = solve_with_truncation_removal(
-            background,
-            mesh,
-            schedule=schedule,
-            far_field=far_field,
-            newton_tol=newton_tol,
-            max_iterations=max_iterations,
-            initial=guess,
-        )
+        rem = step(hi - (hi - lo) * 2.0 ** (-j), initial=guess)
         guess = rem.solution.u_reduced
         irrot, mass = weak_residuals(rem.solution)
         velocity = recover_fields(rem.solution).velocity[probe]
@@ -467,8 +471,8 @@ def sonic_limit_study(
         prev_velocity = velocity
         rungs.append(
             LimitRung(
-                kappa1=k1,
-                kappa2=k2,
+                kappa1=rem.background.kappa1,
+                kappa2=rem.background.kappa2,
                 eps=rem.eps_final,
                 removed=rem.removed,
                 q_max=rem.q_max,

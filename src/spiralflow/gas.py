@@ -31,6 +31,13 @@ from numpy.polynomial import polynomial as _poly
 
 from .errors import DomainError, InternalConsistencyError
 
+#: truncation widths eps must lie in (0, EPS_MAX)
+EPS_MAX = 0.25
+
+#: the ellipticity bounds and the cache check sample s in [0, _S_CAP]
+_S_CAP = 2.0
+
+
 #: squared-speed cap of the density law; rho -> 0 there
 def speed_limit_sq(gamma):
     return (gamma + 1.0) / (gamma - 1.0)
@@ -125,10 +132,10 @@ class GasModel:
             is exact for s <= 1 - 2 eps and frozen for s >= 1 - eps
     """
 
-    def __init__(self, gamma=2.0, eps=0.1, cache_degree=48):
+    def __init__(self, gamma=2.0, eps=0.1):
         if not gamma > 1.0:
             raise DomainError(f"gamma must exceed 1, got {gamma:g}")
-        if not 0.0 < eps < 0.25:
+        if not 0.0 < eps < EPS_MAX:
             raise DomainError(f"eps must lie in (0, 1/4), got {eps:g}")
         self.gamma = float(gamma)
         self.eps = float(eps)
@@ -137,13 +144,10 @@ class GasModel:
         self.rho_stagnation = stagnation_density(self.gamma)
         self.rho_cut = float(_mass_flux_density_raw(self.gamma, self.s_blend_hi))
         self._build_blend()
-        self._build_flux_cache(cache_degree)
+        self._build_flux_cache()
 
     # ------------------------------------------------------------------
     # pointwise closures
-
-    def density_from_speed(self, q2):
-        return density_from_speed(self.gamma, q2)
 
     def density_from_mass_flux(self, s):
         """Exact subsonic-branch density H(s); domain s in [0, 1]."""
@@ -234,16 +238,16 @@ class GasModel:
         outer = grad[..., :, None] * grad[..., None, :]
         return fp * np.eye(2) + 2.0 * fpp * outer
 
-    def ellipticity_bounds(self, s_cap=2.0):
+    def ellipticity_bounds(self):
         """Sampled uniform eigenvalue bounds with 0.99 / 1.01 safety margins.
 
         The matrix has eigenvalues F' (orthogonal to the gradient) and
         F' + 2 s F'' (along it); both depend on s only, so sampling s in
-        [0, s_cap] (densely inside the blend window) suffices.
+        [0, 2] (densely inside the blend window) suffices.
         """
         samples = np.concatenate(
             [
-                np.linspace(0.0, s_cap, 4001),
+                np.linspace(0.0, _S_CAP, 4001),
                 np.linspace(self.s_blend_lo, self.s_blend_hi, 2001),
             ]
         )
@@ -251,11 +255,11 @@ class GasModel:
         e_par = e_perp + 2.0 * samples * fpp
         lam = 0.99 * min(e_perp.min(), e_par.min())
         Lam = 1.01 * max(e_perp.max(), e_par.max())
-        return EllipticityBounds(lam=float(lam), Lam=float(Lam), s_cap=s_cap)
+        return EllipticityBounds(lam=float(lam), Lam=float(Lam), s_cap=_S_CAP)
 
-    def cache_accuracy(self, n=1000, s_cap=2.0):
-        """Max deviation of the cached F' from 1/H~ on an s sample."""
-        s = np.linspace(0.0, s_cap, n)
+    def cache_accuracy(self):
+        """Max deviation of the cached F' from 1/H~ on 1000 samples of [0, 2]."""
+        s = np.linspace(0.0, _S_CAP, 1000)
         _, fp, _ = self.flux_eval(s)
         return float(np.max(np.abs(fp - 1.0 / self.truncated_density(s))))
 
@@ -308,7 +312,7 @@ class GasModel:
         pts.append(0.0)
         return np.array(pts[::-1])
 
-    def _build_flux_cache(self, degree):
+    def _build_flux_cache(self):
         breaks = list(self._piece_breakpoints()) + [self.s_blend_hi]
         self._piece_breaks = np.array(breaks)
         self._piece_fp = []
@@ -321,7 +325,7 @@ class GasModel:
                 s = 0.5 * (a + b) + 0.5 * (b - a) * t
                 return 1.0 / self._truncated(np.minimum(s, self.s_blend_hi))
 
-            coef = _cheb.chebinterpolate(fprime, degree)
+            coef = _cheb.chebinterpolate(fprime, 48)
             integ = _cheb.chebint(coef, scl=0.5 * (b - a))
             integ[0] -= _cheb.chebval(-1.0, integ)
             deriv = _cheb.chebder(coef, scl=2.0 / (b - a))

@@ -288,10 +288,10 @@ class RadialBackground:
         m2 = self.kappa2**2 / c0sq
         return m1, m2, m1 + m2
 
-    def integrate_mach(self, r_max=50.0, step_rel=1e-3):
+    def integrate_mach(self, r_max=50.0):
         """March the Mach system outward with classical fixed-ratio RK4.
 
-        The step is step_rel times the current radius, so the grid is
+        The step is 1e-3 times the current radius, so the grid is
         geometric.  Returns (r, m1sq, m2sq, msq) arrays including r = 1.
         """
         if r_max <= 1.0:
@@ -302,7 +302,7 @@ class RadialBackground:
         rs = [r]
         ys = [tuple(y)]
         while r < r_max:
-            h = min(step_rel * r, r_max - r)
+            h = min(1e-3 * r, r_max - r)
 
             def f(rr, yy):
                 return mach_ode_rhs(gamma, rr, yy[0], yy[1], yy[2])
@@ -321,12 +321,12 @@ class RadialBackground:
         arr = np.array(ys)
         return np.array(rs), arr[:, 0], arr[:, 1], arr[:, 2]
 
-    def classify(self, r_max=50.0, tol=1e-6):
+    def classify(self, r_max=50.0):
         """Call the regime and verify the ODE against the algebraic route.
 
         At every recorded radius the integrated M^2 is compared with the
-        value reconstructed from the Bernoulli/mass-flux system; mismatch
-        beyond tol raises InternalConsistencyError.
+        value reconstructed from the Bernoulli/mass-flux system; relative
+        mismatch beyond 1e-6 raises InternalConsistencyError.
         """
         qsq0 = self.kappa1**2 + self.kappa2**2
         if qsq0 == 1.0:
@@ -339,7 +339,7 @@ class RadialBackground:
         gamma = self.gamma
         # triple consistency: the third equation is redundant
         drift = np.max(np.abs(m1 + m2 - msq) / np.maximum(msq, 1e-30))
-        if drift > tol:
+        if drift > 1e-6:
             raise InternalConsistencyError(
                 f"Mach-number triple drifted apart by {drift:.3e}"
             )
@@ -350,7 +350,7 @@ class RadialBackground:
         msq_alg = (u1**2 + u2**2) / csq
         rel = np.abs(msq - msq_alg) / np.maximum(np.abs(msq_alg), 1e-30)
         worst = float(np.max(rel))
-        if worst > tol:
+        if worst > 1e-6:
             raise InternalConsistencyError(
                 f"ODE and algebraic Mach numbers disagree by {worst:.3e}"
             )

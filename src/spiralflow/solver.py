@@ -31,6 +31,9 @@ import scipy.sparse.linalg as spla
 from .errors import ConfigError, InternalConsistencyError, NonConvergenceError
 from .meshing import check_finite
 
+#: default Newton stopping tolerance, relative to 1 + |I(u)|
+NEWTON_TOL = 1e-9
+
 
 def _rot(w):
     """Rotate planar vectors (a, b) -> (b, -a); maps grad(psi) to rho*velocity."""
@@ -52,7 +55,8 @@ class FlowProblem:
     """Discretized energy for one gas model, background, and mesh.
 
     The P1 operators are the mesh's; the background data are built here
-    and shared with every problem made from this one by with_gas.
+    and shared with every problem made from this one by with_gas.  The
+    problem also carries the Newton settings solve() runs with.
     """
 
     def __init__(
@@ -61,7 +65,7 @@ class FlowProblem:
         background,
         mesh,
         far_field="gauge",
-        newton_tol=1e-9,
+        newton_tol=NEWTON_TOL,
         max_iterations=50,
     ):
         if not (newton_tol > 0.0):
@@ -188,31 +192,27 @@ class FlowSolution:
         return self.max_mass_flux_sq() >= self.problem.gas.s_blend_lo
 
 
-def solve(problem, newton_tol=None, max_iterations=None, initial=None):
+def solve(problem, initial=None):
     """Damped Newton minimization of the discrete energy.
 
-    Stops when the euclidean norm of the reduced gradient falls below
-    newton_tol * (1 + |I(u)|); tolerance and iteration budget default to
-    the values carried by the problem.  The convexity of the truncated
+    Tolerance and iteration budget come from the problem: iteration
+    stops when the euclidean norm of the reduced gradient falls below
+    problem.newton_tol * (1 + |I(u)|).  The convexity of the truncated
     energy makes the iteration globally convergent, so exhausting the
-    budget raises.
+    problem.max_iterations budget raises.
     """
-    if newton_tol is None:
-        newton_tol = problem.newton_tol
-    if max_iterations is None:
-        max_iterations = problem.max_iterations
     u = np.zeros(problem.n_reduced) if initial is None else np.asarray(initial, float).copy()
     if u.shape != (problem.n_reduced,):
         raise ConfigError("initial", "initial iterate has the wrong size")
     history = []
     energies = []
-    for it in range(max_iterations + 1):
+    for it in range(problem.max_iterations + 1):
         g = problem.gradient(u)
         gnorm = float(np.linalg.norm(g))
         energy = problem.energy(u)
         history.append(gnorm)
         energies.append(energy)
-        if gnorm <= newton_tol * (1.0 + abs(energy)):
+        if gnorm <= problem.newton_tol * (1.0 + abs(energy)):
             return FlowSolution(
                 problem=problem,
                 u_reduced=u,
@@ -223,7 +223,7 @@ def solve(problem, newton_tol=None, max_iterations=None, initial=None):
                 residual_history=history,
                 energy_history=energies,
             )
-        if it == max_iterations:
+        if it == problem.max_iterations:
             break
         h = problem.hessian(u)
         try:
@@ -251,7 +251,8 @@ def solve(problem, newton_tol=None, max_iterations=None, initial=None):
                 )
         u = u + t * step
     raise NonConvergenceError(
-        f"Newton did not reach tol {newton_tol:g} in {max_iterations} iterations",
+        f"Newton did not reach tol {problem.newton_tol:g} "
+        f"in {problem.max_iterations} iterations",
         iterate=u,
         history=history,
     )
@@ -359,12 +360,13 @@ class DecayReport:
     ring_maxima: np.ndarray
 
 
-def decay_report(sol, floor=1e-13):
+def decay_report(sol):
     """Log-log decay rate of max |grad u| over geometric radius rings.
 
     Rings double in radius from twice the body size to half the
-    truncation radius.  If every ring maximum sits below floor the
-    correction vanishes identically and no rate is fitted.
+    truncation radius.  exact_match needs a ring and every ring maximum
+    below 1e-13; otherwise a rate is fitted from two rings or more, and
+    slope is None when there are fewer.
     """
     pr = sol.problem
     mesh = pr.mesh
@@ -387,8 +389,10 @@ def decay_report(sol, floor=1e-13):
             maxima.append(float(np.max(mag[sel])))
     mids = np.array(mids)
     maxima = np.array(maxima)
-    if np.all(maxima <= floor):
+    if mids.size and np.all(maxima <= 1e-13):
         return DecayReport(True, None, mids, maxima)
+    if mids.size < 2:
+        return DecayReport(False, None, mids, maxima)
     slope = float(np.polyfit(np.log(mids), np.log(np.maximum(maxima, 1e-300)), 1)[0])
     return DecayReport(False, slope, mids, maxima)
 

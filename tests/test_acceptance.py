@@ -233,7 +233,7 @@ def test_gate07_truncation_level_insensitivity(wavy_body, verdict):
     bg = RadialBackground(GasModel(2.0, 0.1), 0.3, 0.2)
     levels = (0.2, 0.1)
     sols = [
-        sv.solve(sv.FlowProblem(GasModel(2.0, eps), bg, mesh), newton_tol=1e-11)
+        sv.solve(sv.FlowProblem(GasModel(2.0, eps), bg, mesh, newton_tol=1e-11))
         for eps in levels
     ]
     certified = [

@@ -180,6 +180,24 @@ class TestExitCodes:
         assert main(["solve", "--config", str(cfg), "--output", str(tmp_path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, overrides, path",
+        [
+            ("solve", {"eps_schedule": [0.3, 0.1]}, "eps_schedule"),
+            ("critical", {"search": {"lo": "abc"}}, "search.lo"),
+            ("critical", {"search": {"n_grid": [3]}}, "search.n_grid"),
+            ("limit", {"ladder": {"annulus": 3}}, "ladder.annulus"),
+            ("radial", {"radial": {"r_max": "x"}}, "radial.r_max"),
+            ("radial", {"radial": {"r_max": 0.5}}, "radial.r_max"),
+        ],
+    )
+    def test_section_values_exit_2(self, tmp_path, capsys, command, overrides, path):
+        cfg = _write_config(tmp_path, **overrides)
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ")
+        assert "Traceback" not in err
+
     def test_missing_config_exit_4(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert main(["solve", "--config", str(missing), "--output", str(tmp_path)]) == 4

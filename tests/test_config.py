@@ -5,7 +5,7 @@ import subprocess
 
 import pytest
 
-from spiralflow.config import config_blob_sha1, parse_config, sweep_values
+from spiralflow.config import config_blob_sha1, parse_config
 from spiralflow.errors import ConfigError
 
 
@@ -122,15 +122,15 @@ class TestValidation:
 class TestSweepValues:
     def test_explicit_values(self):
         cfg = _parse(grid={"values": [0.1, 0.3, 0.2]})
-        assert sweep_values(cfg) == [0.1, 0.3, 0.2]
+        assert cfg.section("grid") == (0.1, 0.3, 0.2)
 
     def test_linear_grid(self):
         cfg = _parse(grid={"start": 0.0, "stop": 1.0, "num": 5})
-        assert sweep_values(cfg) == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
+        assert cfg.section("grid") == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_missing_section(self):
         with pytest.raises(ConfigError) as exc:
-            sweep_values(_parse())
+            _parse().section("grid")
         assert exc.value.field == "grid"
 
     @pytest.mark.parametrize(
@@ -145,7 +145,7 @@ class TestSweepValues:
     )
     def test_bad_grids(self, grid, path):
         with pytest.raises(ConfigError) as exc:
-            sweep_values(_parse(grid=grid))
+            _parse(grid=grid)
         assert exc.value.field == path
 
 

@@ -50,7 +50,7 @@ class TestCircleAnchor:
         # total gradient stays exactly radial
         bg = RadialBackground(gas, 0.3, 0.2)
         mesh = build_annulus_mesh(Circle(1.3), 20.0, 0.25)
-        sol = sv.solve(sv.FlowProblem(gas, bg, mesh, far_field="gauge"), newton_tol=1e-13)
+        sol = sv.solve(sv.FlowProblem(gas, bg, mesh, far_field="gauge", newton_tol=1e-13))
         du = np.linalg.norm(sol.problem.u_gradients(sol.u_full), axis=-1)
         assert np.max(du) <= 1e-10
 
@@ -303,6 +303,19 @@ class TestDiagnostics:
         assert not rep.exact_match
         assert -5.0 <= rep.slope <= -3.2
 
+    @pytest.mark.parametrize("r_out, n_rings", [(4.0 * 1.3, 0), (8.0, 1)])
+    def test_decay_report_without_evidence(self, gas, r_out, n_rings):
+        # the correction does not vanish, but no ring cannot show that it
+        # does and one ring cannot carry a slope
+        bg = RadialBackground(gas, 0.3, 0.2)
+        mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, 3), r_out, 0.3)
+        sol = sv.solve(sv.FlowProblem(gas, bg, mesh))
+        assert np.max(np.linalg.norm(sol.problem.u_gradients(sol.u_full), axis=-1)) > 1e-2
+        rep = sv.decay_report(sol)
+        assert rep.ring_radii.size == n_rings
+        assert not rep.exact_match
+        assert rep.slope is None
+
 
 class TestValidation:
     def test_bad_far_field(self, gas, wavy_problem):
@@ -327,4 +340,12 @@ class TestValidation:
         from spiralflow.errors import NonConvergenceError
 
         with pytest.raises(NonConvergenceError):
-            sv.solve(wavy_problem, newton_tol=1e-16, max_iterations=1)
+            sv.solve(
+                sv.FlowProblem(
+                    gas,
+                    wavy_problem.background,
+                    wavy_problem.mesh,
+                    newton_tol=1e-16,
+                    max_iterations=1,
+                )
+            )
