@@ -8,9 +8,9 @@ frozen dataclasses; nothing here ever writes back to the file.
 
 import hashlib
 import json
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import asdict, dataclass, field as dc_field, fields
 
-from .continuation import checked_schedule
+from .continuation import check_bracket_tol, check_ladder, check_search, checked_schedule
 from .errors import ConfigError, DomainError
 from .meshing import Circle, PerturbedCircle
 from .solver import NEWTON_TOL
@@ -249,14 +249,17 @@ def parse_config(raw: bytes) -> RunConfig:
     tolerances = _parse_section(doc, "tolerances", Tolerances)
     if tolerances.newton_tol <= 0:
         raise ConfigError("tolerances.newton_tol", "must be positive")
-    if tolerances.critical_tol < 1e-3:
-        raise ConfigError("tolerances.critical_tol", "below the 1e-3 floor")
+    check_bracket_tol(tolerances.critical_tol, "tolerances.critical_tol")
 
     grid = _parse_grid(doc) if "grid" in doc else None
     search = _parse_section(doc, "search", SearchSpec) if "search" in doc else None
+    if search is not None:
+        check_search(**asdict(search), path="search.")
     ladder = _parse_section(doc, "ladder", LadderSpec) if "ladder" in doc else None
-    if ladder is not None and len(ladder.annulus) != 2:
-        raise ConfigError("ladder.annulus", "expected [r_in, r_out]")
+    if ladder is not None:
+        if len(ladder.annulus) != 2:
+            raise ConfigError("ladder.annulus", "expected [r_in, r_out]")
+        check_ladder(**asdict(ladder), path="ladder.")
     radial = _parse_section(doc, "radial", RadialSpec)
     if not radial.r_max > 1.0:
         raise ConfigError("radial.r_max", "must exceed 1, the body radius")

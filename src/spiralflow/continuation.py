@@ -52,6 +52,30 @@ def checked_schedule(schedule, path="schedule"):
     return sched
 
 
+def check_search(lo, hi, n_grid, path=""):
+    """The critical search's range rules; ConfigError at path + field."""
+    if not (hi > lo):
+        raise ConfigError(f"{path}hi", "need lo < hi")
+    if n_grid < 3:
+        raise ConfigError(f"{path}n_grid", "grid scan needs at least 3 points")
+
+
+def check_bracket_tol(tol, path="tol"):
+    """The critical search's floor on the bracket width; ConfigError at path."""
+    if tol < 1e-3:
+        raise ConfigError(path, "bracket width below 1e-3 is not supported")
+
+
+def check_ladder(lo, hi, n_seq, annulus, path=""):
+    """The sonic ladder's range rules; ConfigError at path + field."""
+    if n_seq < 2:
+        raise ConfigError(f"{path}n_seq", "a ladder needs at least 2 rungs")
+    if not (hi > lo):
+        raise ConfigError(f"{path}hi", "need lo < hi")
+    if not (0.0 < annulus[0] < annulus[1]):
+        raise ConfigError(f"{path}annulus", "need 0 < r_in < r_out")
+
+
 @dataclass
 class RemovalRung:
     """Outcome of one solve at a fixed truncation width."""
@@ -325,12 +349,8 @@ def find_critical_parameter(
     leading true/false pair to the requested width.
     """
     step = _removal_step(gamma, kappa1, kappa2, axis, mesh, schedule, far_field, newton_tol)
-    if not (hi > lo):
-        raise ConfigError("search", "need lo < hi")
-    if tol < 1e-3:
-        raise ConfigError("tol", "bracket width below 1e-3 is not supported")
-    if n_grid < 3:
-        raise ConfigError("n_grid", "grid scan needs at least 3 points")
+    check_search(lo, hi, n_grid)
+    check_bracket_tol(tol)
 
     evaluations = []
 
@@ -445,15 +465,10 @@ def sonic_limit_study(
     choking.
     """
     step = _removal_step(gamma, kappa1, kappa2, axis, mesh, schedule, far_field, newton_tol)
-    if n_seq < 2:
-        raise ConfigError("n_seq", "a ladder needs at least 2 rungs")
-    if not (hi > lo):
-        raise ConfigError("ladder", "need lo < hi")
+    check_ladder(lo, hi, n_seq, annulus)
     r_in, r_out = float(annulus[0]), float(annulus[1])
     r_c = np.hypot(*mesh.centroids.T)
     probe = (r_c >= r_in) & (r_c <= r_out)
-    if not (0.0 < r_in < r_out):
-        raise ConfigError("annulus", "need 0 < r_in < r_out")
     if not probe.any():
         raise ConfigError("annulus", "probe annulus contains no triangles")
 

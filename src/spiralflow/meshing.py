@@ -18,7 +18,7 @@ bit-for-bit reproducible.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -92,14 +92,59 @@ class PerturbedCircle:
         return self.base_radius
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Reduction:
-    """Unknowns of one far-field policy: restriction maps them to nodes."""
+    """Unknowns of one far-field policy and its reduced P1 matrix pattern.
+
+    restriction maps the unknowns to nodes.  Every reduced matrix shares
+    the Laplacian's CSC pattern; slots sends each entry of the flattened
+    (n_tri, 3, 3) local matrices to its data slot, or to the spare slot
+    nnz when a corner carries no unknown.
+    """
 
     interior_nodes: np.ndarray
     restriction: sp.csr_matrix
-    laplacian: sp.csr_matrix  # restriction^T K restriction
+    slots: np.ndarray  # int32, (9 n_tri,)
+    laplacian: sp.csc_matrix  # restriction^T K restriction
     test_norms: np.ndarray  # H1-seminorm of each reduced hat function
+    _factor: object = field(default=None, init=False, repr=False)
+
+    def laplacian_factor(self, factorize):
+        """factorize(laplacian) from the first call, kept for every later one."""
+        if self._factor is None:
+            self._factor = factorize(self.laplacian)
+        return self._factor
+
+    def assemble(self, k_loc):
+        """Reduced matrix of per-triangle local matrices, (n_tri, 3, 3)."""
+        lap = self.laplacian
+        return _scatter(self.slots, k_loc, lap.indices, lap.indptr)
+
+
+def _scatter(slots, k_loc, indices, indptr):
+    """Sum local entries into their slots of the pattern (indices, indptr)."""
+    nnz = indices.size
+    data = np.bincount(slots, weights=k_loc.ravel(), minlength=nnz + 1)[:nnz]
+    n = indptr.size - 1
+    return sp.csc_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _pattern(corner_dofs, n):
+    """Slots of the local entries and the CSC pattern (indices, indptr).
+
+    corner_dofs is (n_tri, 3) int64, the unknown at each corner or -1.
+    Local entry (i, j) of a triangle sits at key col * n + row, and an
+    entry without an unknown at key n * n, past every real one.
+    """
+    row, col = corner_dofs[:, :, None], corner_dofs[:, None, :]
+    keys = np.where((row >= 0) & (col >= 0), col * n + row, n * n).ravel()
+    unique = np.sort(keys)
+    unique = unique[np.concatenate(([True], unique[1:] != unique[:-1]))]
+    slots = np.searchsorted(unique, keys).astype(np.int32)
+    unique = unique[unique < n * n]
+    indices = (unique % n).astype(np.int32)
+    indptr = np.searchsorted(unique, np.arange(n + 1, dtype=np.int64) * n).astype(np.int32)
+    return slots, indices, indptr
 
 
 class TriangleMesh:
@@ -165,17 +210,12 @@ class TriangleMesh:
             out[:, k, 1] = b[:, 0] - a[:, 0]
         return out / (2.0 * self.areas)[:, None, None]
 
-    def stiffness(self, coef):
-        """Assembled P1 matrix for one 2x2 coefficient per triangle, (n_tri, 2, 2)."""
+    def local_stiffness(self, coef):
+        """Per-triangle P1 matrices for one 2x2 coefficient each, (n_tri, 3, 3)."""
         B = self.shape_gradients
-        cb = np.einsum("tab,tjb->tja", coef, B)
-        k_loc = np.einsum("tia,tja->tij", B, cb) * self.areas[:, None, None]
+        k_loc = (B @ coef @ B.transpose(0, 2, 1)) * self.areas[:, None, None]
         check_finite(k_loc, "stiffness")
-        t = self.triangles
-        rows = np.repeat(t, 3, axis=1).ravel()
-        cols = np.tile(t, 3).ravel()
-        n = self.n_points
-        return sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        return k_loc
 
     def reduction(self, far_field):
         """Free-node numbering and reduced Laplacian, built once per policy.
@@ -190,16 +230,22 @@ class TriangleMesh:
             free = np.ones(n, dtype=bool)
             free[self.body_nodes] = free[self.outer_nodes] = False
             interior = np.nonzero(free)[0]
-            rows, cols = interior, np.arange(interior.size)
+            dof = np.full(n, -1, dtype=np.int64)
+            dof[interior] = np.arange(interior.size)
             if far_field == "gauge":
-                rows = np.append(rows, self.outer_nodes)
-                cols = np.append(cols, np.full(self.outer_nodes.size, interior.size))
-            shape = (n, interior.size + (far_field == "gauge"))
-            restriction = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape)
+                dof[self.outer_nodes] = interior.size
+            n_red = interior.size + (far_field == "gauge")
+            nodes = np.nonzero(dof >= 0)[0]
+            restriction = sp.csr_matrix(
+                (np.ones(nodes.size), (nodes, dof[nodes])), shape=(n, n_red)
+            )
+            slots, indices, indptr = _pattern(dof[self.triangles], n_red)
             eye = np.broadcast_to(np.eye(2), (self.n_triangles, 2, 2))
-            lap = (restriction.T @ self.stiffness(eye) @ restriction).tocsr()
+            lap = _scatter(slots, self.local_stiffness(eye), indices, indptr)
             norms = np.sqrt(np.maximum(lap.diagonal(), 1e-300))
-            self._reductions[far_field] = Reduction(interior, restriction, lap, norms)
+            self._reductions[far_field] = Reduction(
+                interior, restriction, slots, lap, norms
+            )
         return self._reductions[far_field]
 
     @cached_property

@@ -34,6 +34,13 @@ from .meshing import check_finite
 #: default Newton stopping tolerance, relative to 1 + |I(u)|
 NEWTON_TOL = 1e-9
 
+#: CG solves each Newton step to this residual relative to the gradient
+CG_RTOL = 1e-10
+#: CG iterations per Newton step before the step fails; with the ratio
+#: k = Lam/lam CG needs at most sqrt(k)/2 ln(2/CG_RTOL): 37 at gamma 2 and
+#: eps 0.0125, 126 at eps 1e-4
+CG_MAX_ITERATIONS = 500
+
 
 def _rot(w):
     """Rotate planar vectors (a, b) -> (b, -a); maps grad(psi) to rho*velocity."""
@@ -72,7 +79,8 @@ class FlowProblem:
             raise ConfigError("newton_tol", "tolerance must be positive")
         if max_iterations < 1:
             raise ConfigError("max_iterations", "need at least one iteration")
-        self.restriction = mesh.reduction(far_field).restriction
+        self.reduction = mesh.reduction(far_field)
+        self.restriction = self.reduction.restriction
         self.n_reduced = self.restriction.shape[1]
         self.background = background
         self.mesh = mesh
@@ -148,8 +156,9 @@ class FlowProblem:
 
     def hessian(self, u_red):
         w = self.total_gradients(self.full_vector(u_red))
-        full = self.mesh.stiffness(2.0 * self.gas.coefficient_matrix(w))
-        return (self.restriction.T @ full @ self.restriction).tocsc()
+        return self.reduction.assemble(
+            self.mesh.local_stiffness(2.0 * self.gas.coefficient_matrix(w))
+        )
 
     def dirichlet_seminorm_sq(self, u_full):
         du = self.u_gradients(u_full)
@@ -168,6 +177,7 @@ class FlowSolution:
     energy: float
     residual_history: list = field(default_factory=list)
     energy_history: list = field(default_factory=list)
+    linear_iterations: list = field(default_factory=list)  # CG count per step
 
     @property
     def total_gradient(self):
@@ -192,6 +202,24 @@ class FlowSolution:
         return self.max_mass_flux_sq() >= self.problem.gas.s_blend_lo
 
 
+def _newton_direction(problem, u, g):
+    """(d, iterations, converged) for H(u) d = -g by Laplacian-preconditioned CG."""
+    h = problem.hessian(u)
+    factor = problem.reduction.laplacian_factor(spla.splu)
+    precond = spla.LinearOperator(h.shape, matvec=factor.solve, dtype=float)
+    iterations = []
+    step, info = spla.cg(
+        h,
+        -g,
+        rtol=CG_RTOL,
+        atol=0.0,
+        maxiter=CG_MAX_ITERATIONS,
+        M=precond,
+        callback=lambda _: iterations.append(1),
+    )
+    return step, len(iterations), info == 0
+
+
 def solve(problem, initial=None):
     """Damped Newton minimization of the discrete energy.
 
@@ -200,12 +228,21 @@ def solve(problem, initial=None):
     problem.newton_tol * (1 + |I(u)|).  The convexity of the truncated
     energy makes the iteration globally convergent, so exhausting the
     problem.max_iterations budget raises.
+
+    Each step solves H d = -g by conjugate gradients preconditioned with
+    the reduced Laplacian, to CG_RTOL relative residual in at most
+    CG_MAX_ITERATIONS iterations, or raises.  The ellipticity bounds
+    lam <= H / 2K <= Lam make the iteration count independent of the
+    mesh.  The Laplacian's SuperLU factor is built on the first step
+    and then shared by every solve on the same mesh and far-field
+    policy; a solve that takes no step builds none.
     """
     u = np.zeros(problem.n_reduced) if initial is None else np.asarray(initial, float).copy()
     if u.shape != (problem.n_reduced,):
         raise ConfigError("initial", "initial iterate has the wrong size")
     history = []
     energies = []
+    linear = []
     for it in range(problem.max_iterations + 1):
         g = problem.gradient(u)
         gnorm = float(np.linalg.norm(g))
@@ -222,14 +259,19 @@ def solve(problem, initial=None):
                 energy=energy,
                 residual_history=history,
                 energy_history=energies,
+                linear_iterations=linear,
             )
         if it == problem.max_iterations:
             break
-        h = problem.hessian(u)
-        try:
-            step = spla.splu(h).solve(-g)
-        except RuntimeError as exc:  # pragma: no cover - SPD by construction
-            raise NonConvergenceError(f"linear solve failed: {exc}", iterate=u)
+        step, cg_iterations, converged = _newton_direction(problem, u, g)
+        if not converged:
+            raise NonConvergenceError(
+                f"CG did not reach rtol {CG_RTOL:g} "
+                f"in {CG_MAX_ITERATIONS} iterations",
+                iterate=u,
+                history=history,
+            )
+        linear.append(cg_iterations)
         slope = float(g @ step)
         t = 1.0
         # The full step lowers I by about -slope / 2, but I is a sum of
@@ -311,7 +353,7 @@ def weak_residuals(sol, include_background=False):
     """
     pr = sol.problem
     mesh = pr.mesh
-    red = mesh.reduction(pr.far_field)
+    red = pr.reduction
     ni = red.interior_nodes.size
     g_irr = pr.gradient_full(
         sol.u_full, include_background_correction=not include_background

@@ -5,6 +5,7 @@ import subprocess
 
 import pytest
 
+from spiralflow import cli
 from spiralflow.cli import main
 
 
@@ -197,6 +198,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, overrides, path",
+        [
+            ("critical", {"search": {"n_grid": 2}}, "search.n_grid"),
+            ("critical", {"search": {"lo": 0.9, "hi": 0.5}}, "search.hi"),
+            ("limit", {"ladder": {"annulus": [3.0, 1.5]}}, "ladder.annulus"),
+            ("limit", {"ladder": {"n_seq": 1}}, "ladder.n_seq"),
+            ("limit", {"ladder": {"lo": 0.9, "hi": 0.5}}, "ladder.hi"),
+        ],
+    )
+    def test_range_rules_name_field_path(
+        self, tmp_path, capsys, monkeypatch, command, overrides, path
+    ):
+        def no_mesh(*args):
+            raise AssertionError("mesh built before the config was checked")
+
+        monkeypatch.setattr(cli, "build_annulus_mesh", no_mesh)
+        cfg = _write_config(tmp_path, **overrides)
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}: ")
 
     def test_missing_config_exit_4(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -270,5 +270,5 @@ class TestLimitStudy:
             ct.sonic_limit_study(
                 2.0, 0.6, 0.0, "kappa2", 0.4, 0.7, 3, circle_mesh, annulus=(40.0, 50.0)
             )
-        with pytest.raises(ConfigError, match="ladder"):
+        with pytest.raises(ConfigError, match="lo < hi"):
             ct.sonic_limit_study(2.0, 0.6, 0.0, "kappa2", 0.7, 0.4, 3, circle_mesh)

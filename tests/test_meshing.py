@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spiralflow.errors import DomainError, MeshQualityError
 from spiralflow.meshing import (
@@ -134,6 +135,34 @@ class TestGeometry:
             build_annulus_mesh(Circle(1.0), outer_radius=3.9, target_h=0.1)
         with pytest.raises(DomainError):
             build_annulus_mesh(Circle(1.0), outer_radius=10.0, target_h=0.0)
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("far_field", ["gauge", "zero"])
+    def test_fixed_pattern_matches_triple_product(self, wavy_mesh, far_field):
+        # oracle: full COO assembly, then restriction^T K restriction, on a
+        # permuted numbering so the pattern is not banded
+        rng = np.random.default_rng(14)
+        perm = rng.permutation(wavy_mesh.n_points)
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(wavy_mesh.n_points)
+        mesh = TriangleMesh(
+            wavy_mesh.points[inv],
+            perm[wavy_mesh.triangles],
+            perm[wavy_mesh.body_nodes],
+            perm[wavy_mesh.outer_nodes],
+        )
+        red = mesh.reduction(far_field)
+        x = rng.standard_normal((mesh.n_triangles, 2, 2))
+        t = mesh.triangles
+        rows, cols = np.repeat(t, 3, axis=1).ravel(), np.tile(t, 3).ravel()
+        for coef in (np.broadcast_to(np.eye(2), x.shape), x @ x.transpose(0, 2, 1)):
+            k_loc = mesh.local_stiffness(coef)
+            full = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(mesh.n_points,) * 2)
+            expect = (red.restriction.T @ full.tocsr() @ red.restriction).toarray()
+            got = red.assemble(k_loc)
+            assert got.has_canonical_format
+            assert np.max(np.abs(got.toarray() - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
 class TestQualityReport:

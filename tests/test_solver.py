@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from spiralflow.errors import ConfigError, InternalConsistencyError
+from spiralflow import continuation as ct
+from spiralflow.errors import ConfigError, InternalConsistencyError, NonConvergenceError
 from spiralflow.gas import GasModel
 from spiralflow.meshing import Circle, PerturbedCircle, TriangleMesh, build_annulus_mesh
 from spiralflow.radial import RadialBackground
@@ -138,6 +140,74 @@ class TestConvexity:
         # the zero full field is the unconstrained minimum with I = 0, so
         # any admissible competitor for nonzero body data sits above it
         assert wavy_solution.energy > 0.0
+
+
+class TestLinearSolve:
+    @pytest.fixture
+    def splu_calls(self, monkeypatch):
+        calls = []
+        splu = sv.spla.splu
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return splu(matrix)
+
+        monkeypatch.setattr(sv.spla, "splu", counting)
+        return calls
+
+    def test_cg_step_matches_direct_solve(self, wavy_problem):
+        rng = np.random.default_rng(13)
+        n = wavy_problem.n_reduced
+        for u in (np.zeros(n), 0.05 * rng.standard_normal(n)):
+            g = wavy_problem.gradient(u)
+            step, iterations, converged = sv._newton_direction(wavy_problem, u, g)
+            direct = spla.splu(wavy_problem.hessian(u)).solve(-g)  # the oracle
+            assert converged and 1 <= iterations <= sv.CG_MAX_ITERATIONS
+            assert np.linalg.norm(step - direct) <= 1e-8 * np.linalg.norm(direct)
+
+    def test_iterations_recorded_per_step(self, wavy_solution, circle_problem):
+        assert len(wavy_solution.linear_iterations) == wavy_solution.newton_iterations
+        assert all(n >= 1 for n in wavy_solution.linear_iterations)
+        assert sv.solve(circle_problem).linear_iterations == []
+
+    def test_one_factor_per_mesh_and_policy(self, splu_calls):
+        mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, 3), 16.0, 0.3)
+        bg = RadialBackground(GasModel(2.0, 0.1), 0.6, 0.7)
+        rem = ct.solve_with_truncation_removal(bg, mesh)
+        assert sum(r.newton_iterations >= 1 for r in rem.rungs) >= 2
+        bg2 = RadialBackground(GasModel(2.0, 0.1), 0.6, 0.5)
+        ct.solve_with_truncation_removal(bg2, mesh)
+        assert len(splu_calls) == 1
+        ct.solve_with_truncation_removal(bg2, mesh, far_field="zero")
+        assert len(splu_calls) == 2
+
+    def test_zero_step_solve_builds_no_factor(self, gas, splu_calls):
+        mesh = build_annulus_mesh(Circle(1.0), 20.0, 0.25)
+        sol = sv.solve(sv.FlowProblem(gas, RadialBackground(gas, 0.3, 0.2), mesh))
+        assert sol.newton_iterations == 0
+        assert splu_calls == []
+
+    def test_cg_iterations_mesh_independent(self):
+        # Lam/lam bounds the preconditioned condition number whatever h is
+        body = PerturbedCircle(1.2, 0.1, 3)
+        for h in (0.2, 0.1, 0.05):
+            mesh = build_annulus_mesh(body, 16.0, h)
+            for eps in (0.2, 0.0125):
+                g = GasModel(2.0, eps)
+                sol = sv.solve(sv.FlowProblem(g, RadialBackground(g, 0.3, 0.2), mesh))
+                assert sol.newton_iterations >= 1
+                assert max(sol.linear_iterations) <= 20, (h, eps, sol.linear_iterations)
+
+    def test_cg_failure_carries_record(self, monkeypatch, wavy_problem):
+        def stalled(A, b, **kwargs):
+            return np.zeros_like(b), kwargs["maxiter"]
+
+        monkeypatch.setattr(sv.spla, "cg", stalled)
+        with pytest.raises(NonConvergenceError, match="CG did not reach") as info:
+            sv.solve(wavy_problem)
+        u = info.value.iterate
+        assert np.array_equal(u, np.zeros(wavy_problem.n_reduced))
+        assert info.value.history == [np.linalg.norm(wavy_problem.gradient(u))]
 
 
 class TestInvariance:
@@ -337,8 +407,6 @@ class TestValidation:
             )
 
     def test_iteration_budget_exhaustion(self, gas, wavy_problem):
-        from spiralflow.errors import NonConvergenceError
-
         with pytest.raises(NonConvergenceError):
             sv.solve(
                 sv.FlowProblem(
