@@ -258,6 +258,8 @@ def _run_critical(cfg, outdir, quiet):
 
 def _run_limit(cfg, outdir, quiet):
     ladder = cfg.section("ladder")
+    mesh = _mesh(cfg)
+    ct.checked_probe(mesh, ladder.annulus, path="ladder.")
     study = ct.sonic_limit_study(
         cfg.gamma,
         cfg.kappa1,
@@ -266,7 +268,7 @@ def _run_limit(cfg, outdir, quiet):
         ladder.lo,
         ladder.hi,
         ladder.n_seq,
-        _mesh(cfg),
+        mesh,
         annulus=ladder.annulus,
         schedule=cfg.eps_schedule,
         far_field=cfg.far_field,

@@ -76,6 +76,15 @@ def check_ladder(lo, hi, n_seq, annulus, path=""):
         raise ConfigError(f"{path}annulus", "need 0 < r_in < r_out")
 
 
+def checked_probe(mesh, annulus, path=""):
+    """Triangles with centroid in the probe annulus; none is a ConfigError at path."""
+    r_c = np.hypot(*mesh.centroids.T)
+    probe = (r_c >= annulus[0]) & (r_c <= annulus[1])
+    if not probe.any():
+        raise ConfigError(f"{path}annulus", "probe annulus contains no triangles")
+    return probe
+
+
 @dataclass
 class RemovalRung:
     """Outcome of one solve at a fixed truncation width."""
@@ -467,10 +476,7 @@ def sonic_limit_study(
     step = _removal_step(gamma, kappa1, kappa2, axis, mesh, schedule, far_field, newton_tol)
     check_ladder(lo, hi, n_seq, annulus)
     r_in, r_out = float(annulus[0]), float(annulus[1])
-    r_c = np.hypot(*mesh.centroids.T)
-    probe = (r_c >= r_in) & (r_c <= r_out)
-    if not probe.any():
-        raise ConfigError("annulus", "probe annulus contains no triangles")
+    probe = checked_probe(mesh, annulus)
 
     rungs = []
     prev_velocity = None

@@ -60,6 +60,21 @@ def density_from_speed(gamma, q2):
     return float(rho) if rho.ndim == 0 else rho
 
 
+def piecewise_chebval(breaks, x, *series):
+    """Values at x of each series, where series[j][k] holds the Chebyshev
+    coefficients of series j on [breaks[k], breaks[k + 1]]."""
+    idx = np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, len(breaks) - 2)
+    out = [np.empty_like(x) for _ in series]
+    for k in range(len(breaks) - 1):
+        sel = idx == k
+        if np.any(sel):
+            a, b = breaks[k], breaks[k + 1]
+            xk = (2.0 * x[sel] - (a + b)) / (b - a)
+            for vals, coef in zip(out, series):
+                vals[sel] = _cheb.chebval(xk, coef[k])
+    return out
+
+
 def _mass_flux_density_raw(gamma, s, max_iter=200):
     """Subsonic-branch density for squared mass flux s, vectorized.
 
@@ -154,12 +169,13 @@ class GasModel:
         s = np.asarray(s, dtype=float)
         if np.any(s < 0.0):
             raise DomainError("squared mass flux must be nonnegative")
-        if np.any(s > 1.0):
+        # round-off can put a sonic state from density_from_speed just above 1
+        if np.any(s > 1.0 + 1e-14):
             raise DomainError(
                 "squared mass flux above 1 has no subsonic density; "
                 "use truncated_density for the regularized coefficient"
             )
-        rho = _mass_flux_density_raw(self.gamma, s)
+        rho = _mass_flux_density_raw(self.gamma, np.minimum(s, 1.0))
         return float(rho) if rho.ndim == 0 else rho
 
     def truncated_density(self, s):
@@ -202,24 +218,9 @@ class GasModel:
             Fp[tail] = 1.0 / self.rho_cut
         body = ~tail
         if np.any(body):
-            sb = s[body]
-            idx = np.searchsorted(self._piece_breaks, sb, side="right") - 1
-            idx = np.clip(idx, 0, len(self._piece_breaks) - 2)
-            Fb = np.empty_like(sb)
-            Fpb = np.empty_like(sb)
-            Fppb = np.empty_like(sb)
-            for k in range(len(self._piece_breaks) - 1):
-                sel = idx == k
-                if not np.any(sel):
-                    continue
-                a, b = self._piece_breaks[k], self._piece_breaks[k + 1]
-                t = (2.0 * sb[sel] - (a + b)) / (b - a)
-                Fpb[sel] = _cheb.chebval(t, self._piece_fp[k])
-                Fb[sel] = _cheb.chebval(t, self._piece_f[k]) + self._piece_off[k]
-                Fppb[sel] = _cheb.chebval(t, self._piece_fpp[k])
-            F[body] = Fb
-            Fp[body] = Fpb
-            Fpp[body] = Fppb
+            F[body], Fp[body], Fpp[body] = piecewise_chebval(
+                self._piece_breaks, s[body], self._piece_f, self._piece_fp, self._piece_fpp
+            )
         if scalar:
             return float(F[0]), float(Fp[0]), float(Fpp[0])
         return F, Fp, Fpp
@@ -318,7 +319,6 @@ class GasModel:
         self._piece_fp = []
         self._piece_f = []
         self._piece_fpp = []
-        self._piece_off = []
         offset = 0.0
         for a, b in zip(breaks[:-1], breaks[1:]):
             def fprime(t, a=a, b=b):
@@ -326,12 +326,10 @@ class GasModel:
                 return 1.0 / self._truncated(np.minimum(s, self.s_blend_hi))
 
             coef = _cheb.chebinterpolate(fprime, 48)
-            integ = _cheb.chebint(coef, scl=0.5 * (b - a))
-            integ[0] -= _cheb.chebval(-1.0, integ)
+            integ = _cheb.chebint(coef, k=offset, lbnd=-1.0, scl=0.5 * (b - a))
             deriv = _cheb.chebder(coef, scl=2.0 / (b - a))
             self._piece_fp.append(coef)
             self._piece_f.append(integ)
             self._piece_fpp.append(deriv)
-            self._piece_off.append(offset)
-            offset += float(_cheb.chebval(1.0, integ))
+            offset = float(_cheb.chebval(1.0, integ))
         self._flux_tail_offset = offset

@@ -29,12 +29,14 @@ the latter is needed as boundary data, and its gradient is single-valued.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.polynomial import chebyshev as _cheb
 
 from .errors import DomainError, InternalConsistencyError, RegimeError
-from .gas import GasModel, density_from_speed, stagnation_density
+from .gas import GasModel, density_from_speed, piecewise_chebval, stagnation_density
 
 
 def mach_ode_rhs(gamma, r, m1sq, m2sq, msq=None):
@@ -93,7 +95,8 @@ class RadialBackground:
 
     Only gas.gamma enters the background (the truncation width eps is a
     solver concern), so one background can be shared across gas models of
-    equal gamma.
+    equal gamma.  stream_gradient and swirl_stream read a series of the
+    root solve density() in t = 1/r, built and checked on first use.
     """
 
     def __init__(self, gas: GasModel, kappa1: float, kappa2: float):
@@ -101,7 +104,6 @@ class RadialBackground:
             raise DomainError(f"kappa1 must lie in (0, 1), got {kappa1:g}")
         if not abs(kappa2) < 1.0:
             raise DomainError(f"|kappa2| must be below 1, got {kappa2:g}")
-        self.gas = gas
         self.gamma = gas.gamma
         self.kappa1 = float(kappa1)
         self.kappa2 = float(kappa2)
@@ -113,8 +115,7 @@ class RadialBackground:
                 "outward continuation exists for these parameters"
             )
         self.source_strength = self.rho0 * self.kappa1  # r rho_b U1, conserved
-        self._panel_edges = [1.0]
-        self._panel_cum = [0.0]
+        self.rho_inf = stagnation_density(self.gamma)  # rho_b far out
 
     # ------------------------------------------------------------------
     # algebraic route
@@ -146,9 +147,8 @@ class RadialBackground:
                 - const
             )
 
-        rho_hi = stagnation_density(gamma)
         # the residual is increasing for rho above the radial sonic density
-        lo = np.minimum((mdot / r) ** (2.0 / (gamma + 1.0)), rho_hi)
+        lo = np.minimum((mdot / r) ** (2.0 / (gamma + 1.0)), self.rho_inf)
         f_lo = resid(lo)
         if np.any(f_lo > 1e-11):
             bad = r[f_lo > 1e-11]
@@ -156,7 +156,7 @@ class RadialBackground:
                 f"no admissible background density at r={bad.flat[0]:g}; "
                 "the radial mass flux chokes before that radius"
             )
-        hi = np.full_like(r, rho_hi)
+        hi = np.full_like(r, self.rho_inf)
         rho = hi.copy()
         # fixed iteration count so results do not depend on how calls are
         # batched; 90 bisection halvings already shrink the bracket below
@@ -194,9 +194,8 @@ class RadialBackground:
     def swirl_stream(self, r):
         """Single-valued swirl part of the background stream function.
 
-        Equals -kappa2 * integral_1^r rho_b(t)/t dt; zero at the body and
-        for swirl-free flows.  Served from a cached adaptive panel
-        decomposition (Gauss-Legendre, split until two orders agree).
+        Equals -kappa2 * integral_1^r rho_b(s)/s ds, zero at the body and
+        for swirl-free flows; that is -kappa2 (rho_inf ln r + G(1) - G(1/r)).
         """
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
@@ -204,62 +203,11 @@ class RadialBackground:
         if np.any(r < 1.0 - 1e-9):
             raise DomainError("swirl stream is defined for r >= 1")
         r = np.maximum(r, 1.0)
-        if self.kappa2 == 0.0:
-            out = np.zeros_like(r)
-            return float(out[0]) if scalar else out
-        self._ensure_panels(float(np.max(r)))
-        edges = np.array(self._panel_edges)
-        cum = np.array(self._panel_cum)
-        idx = np.clip(np.searchsorted(edges, r, side="right") - 1, 0, len(edges) - 2)
-        a = edges[idx]
-        out = cum[idx] + self._panel_integral(a, r)
-        out = -self.kappa2 * out
+        breaks, _, G = self._series
+        # G(1) from the same evaluation keeps the body value exactly zero
+        (G_t,) = piecewise_chebval(breaks, np.append(1.0 / r, 1.0), G)
+        out = -self.kappa2 * (self.rho_inf * np.log(r) + G_t[-1] - G_t[:-1])
         return float(out[0]) if scalar else out
-
-    def _integrand_nodes(self, a, b, n=16):
-        x, w = np.polynomial.legendre.leggauss(n)
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        nodes = mid[..., None] + half[..., None] * x
-        return nodes, half[..., None] * w
-
-    def _panel_integral(self, a, b):
-        """Vectorized Gauss-Legendre of rho_b(t)/t over [a_i, b_i]."""
-        nodes, weights = self._integrand_nodes(a, b)
-        vals = self.density(nodes) / nodes
-        return np.sum(vals * weights, axis=-1)
-
-    def _checked_panel(self, pa, pb):
-        """Panel integral, or None if an 8-point rule disagrees with 16."""
-        coarse_nodes, coarse_w = self._integrand_nodes(np.array(pa), np.array(pb), n=8)
-        coarse = np.sum(self.density(coarse_nodes) / coarse_nodes * coarse_w, axis=-1)
-        fine = self._panel_integral(np.array(pa), np.array(pb))
-        if abs(float(fine) - float(coarse)) > 1e-13 and pb - pa > 1e-6:
-            return None
-        return float(fine)
-
-    def _ensure_panels(self, rmax):
-        """Grow the cached panel decomposition to cover [1, rmax].
-
-        The cached cumulative values are integrals of rho_b/t from 1 to
-        each panel edge.
-        """
-        while self._panel_edges[-1] < rmax:
-            a = self._panel_edges[-1]
-            b = min(max(a * 1.5, a + 0.1), max(rmax, a * 1.02))
-            stack = [(a, b)]
-            while stack:
-                pa, pb = stack.pop()
-                val = self._checked_panel(pa, pb)
-                if val is None:
-                    mid = 0.5 * (pa + pb)
-                    stack.append((mid, pb))
-                    stack.append((pa, mid))
-                else:
-                    self._panel_edges.append(pb)
-                    self._panel_cum.append(self._panel_cum[-1] + val)
 
     def stream_gradient(self, points):
         """Gradient of the full background stream function at (..., 2) points.
@@ -274,10 +222,56 @@ class RadialBackground:
         r = np.sqrt(rsq)
         if np.any(r < 1.0 - 1e-9):
             raise DomainError("background gradient is defined for |x| >= 1")
-        rho = self.density(np.maximum(r, 1.0))
+        rho = self._fitted_density(1.0 / np.maximum(r, 1.0))
         gx = (self.source_strength * (-y) - self.kappa2 * rho * x) / rsq
         gy = (self.source_strength * x - self.kappa2 * rho * y) / rsq
         return np.stack([gx, gy], axis=-1)
+
+    def _fitted_density(self, t):
+        """rho_b at t = 1/r in [0, 1], read from the series."""
+        breaks, g, _ = self._series
+        return self.rho_inf + t * piecewise_chebval(breaks, t, g)[0]
+
+    @cached_property
+    def _series(self):
+        """Piecewise Chebyshev series (breaks, g, G) in t = 1/r on [0, 1].
+
+        rho_b = rho_inf + t g(t), with g smooth as rho_b is even in t, and
+        G is the continuous antiderivative of g.  Pieces interpolate g at
+        first-kind Chebyshev points; one batched root solve per round checks
+        them between the nodes and at the ends, and halves those that fail:
+        near radial choking rho_b has a branch point just past t = 1.
+        """
+        deg = 40
+        # the root solve itself loses accuracy like 1/(1 - M1^2)
+        tol = max(1e-13, 16.0 * np.finfo(float).eps / (1.0 - self.mach_numbers_at_body()[0]))
+        x_fit = _cheb.chebpts1(deg + 1)
+        x = np.concatenate([x_fit, _cheb.chebpts2(2 * deg + 1)])
+        pieces = []
+        todo = [(0.0, 0.5), (0.5, 0.75), (0.75, 0.875), (0.875, 1.0)]  # graded toward r = 1
+        while todo:
+            a, b = np.array(todo).T
+            t = 0.5 * (a + b) + 0.5 * (b - a) * x[:, None]
+            rho = np.full_like(t, self.rho_inf)
+            rho[t > 0.0] = self.density(1.0 / t[t > 0.0])
+            g = np.divide(rho - self.rho_inf, t, out=np.zeros_like(t), where=t > 0.0)
+            coef = _cheb.chebfit(x_fit, g[: deg + 1], deg)
+            fit = self.rho_inf + t * _cheb.chebval(x, coef).T
+            err = np.max(np.abs(fit - rho) / rho, axis=0)
+            todo = []
+            for ak, bk, ck, ok in zip(a, b, coef.T, err <= tol):
+                if ok:
+                    pieces.append((ak, bk, ck))
+                elif bk - ak < 2e-12 or len(todo) > 200:  # halves below 1e-12, or noise
+                    raise InternalConsistencyError(f"density series fails near t={ak:g}")
+                else:
+                    todo += [(ak, 0.5 * (ak + bk)), (0.5 * (ak + bk), bk)]
+        a, b, g = zip(*sorted(pieces, key=lambda piece: piece[0]))
+        G, end = [], 0.0
+        for c, width in zip(g, np.subtract(b, a)):
+            G.append(_cheb.chebint(c, k=end, lbnd=-1.0, scl=0.5 * width))
+            end = _cheb.chebval(1.0, G[-1])
+        return np.array(a + (1.0,)), g, G
 
     # ------------------------------------------------------------------
     # ODE route and classification

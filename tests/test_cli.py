@@ -190,6 +190,8 @@ class TestExitCodes:
             ("limit", {"ladder": {"annulus": 3}}, "ladder.annulus"),
             ("radial", {"radial": {"r_max": "x"}}, "radial.r_max"),
             ("radial", {"radial": {"r_max": 0.5}}, "radial.r_max"),
+            # no centroid of the R_out 8 mesh lies in the probe annulus
+            ("limit", {"ladder": {"annulus": [40, 50]}}, "ladder.annulus"),
         ],
     )
     def test_section_values_exit_2(self, tmp_path, capsys, command, overrides, path):

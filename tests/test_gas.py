@@ -7,7 +7,7 @@ quadrature for the energy density.  The library must agree with them.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -110,6 +110,7 @@ class TestDensityFromMassFlux:
             gm.density_from_mass_flux(1.0 + 1e-9)
 
     @given(gamma=st.floats(1.15, 2.9), q2=st.floats(0.0, 1.0))
+    @example(gamma=1.2, q2=0.9999999999999999)  # s lands 2e-15 above 1
     @settings(max_examples=60, deadline=None)
     def test_inverse_of_speed_law(self, gamma, q2):
         # push a subsonic state through both closures: s = (rho q)^2 must

@@ -1,8 +1,9 @@
 """Tests for the radially symmetric background flows.
 
 The algebraic density route is checked against an independent brentq
-oracle, the swirl stream against scipy adaptive quadrature, and the ODE
-route against the algebraic one through classify().
+oracle, its Chebyshev series against the algebraic route, the swirl
+stream against scipy adaptive quadrature, and the ODE route against the
+algebraic one through classify().
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from scipy.optimize import brentq
 
 from spiralflow.errors import DomainError, InternalConsistencyError, RegimeError
 from spiralflow.gas import GasModel, stagnation_density
+from spiralflow.meshing import Circle, build_annulus_mesh
 from spiralflow.radial import FlowRegime, RadialBackground, mach_ode_rhs
 
 
@@ -154,13 +156,23 @@ class TestSwirlStream:
         with pytest.raises(DomainError):
             bg.swirl_stream(0.88)
 
-    def test_panel_cache_reuse(self, gm):
+    def test_series_reuse(self, gm):
+        # one series serves every call, so a radius gets the same value
+        # whatever else is in the batch
         b = RadialBackground(gm, 0.3, 0.4)
         far = b.swirl_stream(40.0)
         near = b.swirl_stream(np.array([1.5, 3.0, 40.0]))
         oracle = -0.4 * quad(lambda t: b.density(t) / t, 1.0, 3.0, epsabs=1e-13)[0]
         assert near[1] == pytest.approx(oracle, abs=1e-10)
         assert near[2] == far
+
+    def test_exactly_zero_on_circle_body(self, gm):
+        # the circle anchor's zero-step solve needs exact zero body data;
+        # hypot puts some of these nodes one ulp inside r = 1
+        mesh = build_annulus_mesh(Circle(1.0), 8.0, 0.1)
+        b = RadialBackground(gm, 0.6, 0.7)
+        assert b.swirl_stream(1.0) == 0.0
+        assert np.all(b.swirl_stream(np.hypot(*mesh.points[mesh.body_nodes].T)) == 0.0)
 
     def test_radial_derivative(self, bg):
         # d/dr of the swirl stream is -kappa2 rho_b / r
@@ -172,6 +184,70 @@ class TestSwirlStream:
     def test_decreasing_for_positive_swirl(self, bg):
         vals = bg.swirl_stream(np.linspace(1.0, 20.0, 100))
         assert np.all(np.diff(vals) < 0.0)
+
+
+class TestDensitySeries:
+    """The Chebyshev series in t = 1/r that the hot paths read."""
+
+    @pytest.mark.parametrize("gamma", [1.4, 2.0])
+    @pytest.mark.parametrize(
+        "k1,k2",
+        [
+            (0.3, 0.2),
+            (0.6, 0.79),
+            (0.9, 0.3),
+            (0.2, -0.6),
+            (0.99, 0.05),
+            (0.999, 0.0),
+            (0.9999, 0.0),
+        ],
+    )
+    def test_matches_root_solve(self, gamma, k1, k2):
+        b = RadialBackground(GasModel(gamma), k1, k2)
+        rng = np.random.default_rng(11)
+        r = np.concatenate([rng.uniform(1.0, 1e3, 400), 1.0 + np.logspace(-12, -1, 60)])
+        rho = b.density(r)
+        # the build's own tolerance: the root solve loses accuracy like
+        # 1/(1 - M1^2) toward radial choking
+        tol = max(1e-13, 16.0 * np.finfo(float).eps / (1.0 - b.mach_numbers_at_body()[0]))
+        assert np.max(np.abs(b._fitted_density(1.0 / r) - rho) / rho) <= tol
+
+    def test_refuses_series_it_cannot_check(self, gm, monkeypatch):
+        # a root solve noisier than the tolerance everywhere can never be
+        # matched; the build must fail loudly, not return its last fit
+        real_density = RadialBackground.density
+        rng = np.random.default_rng(5)
+
+        def noisy_density(self, r):
+            return real_density(self, r) * (1.0 + 1e-9 * rng.standard_normal(np.shape(r)))
+
+        monkeypatch.setattr(RadialBackground, "density", noisy_density)
+        b = RadialBackground(gm, 0.3, 0.2)
+        with pytest.raises(InternalConsistencyError, match="density series"):
+            b.stream_gradient(np.array([[2.0, 0.0]]))
+
+    def test_hot_paths_skip_root_solve(self, gm, monkeypatch):
+        calls = []
+        real_density = RadialBackground.density
+
+        def counting_density(self, r):
+            calls.append(self)
+            return real_density(self, r)
+
+        monkeypatch.setattr(RadialBackground, "density", counting_density)
+        pts = np.array([[1.0, 0.0], [2.0, 3.0], [-40.0, 7.0]])
+        b = RadialBackground(gm, 0.3, 0.2)
+        b.stream_gradient(pts)
+        # one batched root solve builds all pieces of a smooth background
+        assert calls == [b]
+        b.swirl_stream(np.array([1.0, 3.0, 50.0]))
+        b.stream_gradient(pts)
+        b.swirl_stream(7.0)
+        assert calls == [b]
+        other = RadialBackground(gm, 0.3, 0.2)
+        other.swirl_stream(2.0)
+        other.stream_gradient(pts)
+        assert calls == [b, other]
 
 
 class TestStreamGradient:
