@@ -26,7 +26,7 @@ from .errors import (
     RegimeError,
 )
 from .gas import GasModel
-from .meshing import build_annulus_mesh, mesh_quality_report
+from .meshing import build_annulus_mesh
 from .radial import RadialBackground
 from .solver import (
     boundary_flux,
@@ -138,7 +138,6 @@ def _run_solve(cfg, outdir, quiet):
     fields = recover_fields(sol)
     irrot, mass = weak_residuals(sol)
     decay = decay_report(sol)
-    quality = mesh_quality_report(mesh)
 
     write_vtk(
         outdir / "solution.vtk",
@@ -166,7 +165,7 @@ def _run_solve(cfg, outdir, quiet):
                 "R_out": cfg.mesh.R_out,
                 "points": mesh.n_points,
                 "triangles": mesh.n_triangles,
-                "min_angle_deg": quality.min_angle_deg,
+                "min_angle_deg": mesh.min_angle_deg(),
             },
             "removed": rem.removed,
             "eps_final": rem.eps_final,

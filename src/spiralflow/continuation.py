@@ -159,13 +159,12 @@ def solve_with_truncation_removal(
             problem = problem.with_gas(_gas(background.gamma, eps))
         sol = solve(problem, initial=guess)
         guess = sol.u_reduced
-        s_max = sol.max_mass_flux_sq()
-        certified = s_max < 1.0 - 2.0 * eps
+        certified = sol.s_max < 1.0 - 2.0 * eps
         rungs.append(
             RemovalRung(
                 eps=eps,
-                s_max=s_max,
-                q_max=float(np.max(sol.reconstructed_speed())),
+                s_max=sol.s_max,
+                q_max=sol.q_max,
                 energy=sol.energy,
                 newton_iterations=sol.newton_iterations,
                 certified=certified,

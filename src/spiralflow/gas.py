@@ -202,40 +202,41 @@ class GasModel:
             val[mid] = _poly.polyval(t, self._blend_coef)
         return float(val[0]) if scalar else val
 
-    def flux_eval(self, s):
-        """(F, F', F'') from the Chebyshev cache; F'' is 0 past the blend."""
+    def flux_eval(self, s, orders=(0, 1, 2)):
+        """The derivatives of F of the given orders at s, in that order, from
+        the Chebyshev cache, evaluating only those; F'' is 0 past the blend."""
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
         if np.any(s < 0.0):
             raise DomainError("squared mass flux must be nonnegative")
-        F = np.empty_like(s)
-        Fp = np.empty_like(s)
-        Fpp = np.zeros_like(s)
+        out = [np.empty_like(s) for _ in orders]
         tail = s >= self.s_blend_hi
         if np.any(tail):
-            F[tail] = self._flux_tail_offset + (s[tail] - self.s_blend_hi) / self.rho_cut
-            Fp[tail] = 1.0 / self.rho_cut
+            f_tail = self._flux_tail_offset + (s[tail] - self.s_blend_hi) / self.rho_cut
+            for vals, k in zip(out, orders):
+                vals[tail] = (f_tail, 1.0 / self.rho_cut, 0.0)[k]
         body = ~tail
         if np.any(body):
-            F[body], Fp[body], Fpp[body] = piecewise_chebval(
-                self._piece_breaks, s[body], self._piece_f, self._piece_fp, self._piece_fpp
-            )
+            series = [self._pieces[k] for k in orders]
+            for vals, v in zip(out, piecewise_chebval(self._piece_breaks, s[body], *series)):
+                vals[body] = v
         if scalar:
-            return float(F[0]), float(Fp[0]), float(Fpp[0])
-        return F, Fp, Fpp
+            return tuple(float(v[0]) for v in out)
+        return tuple(out)
 
-    def coefficient_matrix(self, grad):
+    def coefficient_matrix(self, grad, derivs=None):
         """Symmetric coefficient matrix of the linearized operator at grad(psi).
 
         a = F' I + 2 F'' grad grad^T at s = |grad|^2, half the Hessian of
-        F(|grad|^2), with F' and F'' from the cache the energy reads.
+        F(|grad|^2), with derivs = (F', F'') at s or, by default, both
+        from the cache the energy reads.
         Accepts shape (..., 2); returns shape (..., 2, 2).
         """
         grad = np.asarray(grad, dtype=float)
-        _, fp, fpp = self.flux_eval(np.sum(grad**2, axis=-1))
-        fp = np.asarray(fp)[..., None, None]
-        fpp = np.asarray(fpp)[..., None, None]
+        if derivs is None:
+            derivs = self.flux_eval(np.sum(grad**2, axis=-1), (1, 2))
+        fp, fpp = (np.asarray(d)[..., None, None] for d in derivs)
         outer = grad[..., :, None] * grad[..., None, :]
         return fp * np.eye(2) + 2.0 * fpp * outer
 
@@ -252,7 +253,7 @@ class GasModel:
                 np.linspace(self.s_blend_lo, self.s_blend_hi, 2001),
             ]
         )
-        _, e_perp, fpp = self.flux_eval(samples)
+        e_perp, fpp = self.flux_eval(samples, (1, 2))
         e_par = e_perp + 2.0 * samples * fpp
         lam = 0.99 * min(e_perp.min(), e_par.min())
         Lam = 1.01 * max(e_perp.max(), e_par.max())
@@ -261,7 +262,7 @@ class GasModel:
     def cache_accuracy(self):
         """Max deviation of the cached F' from 1/H~ on 1000 samples of [0, 2]."""
         s = np.linspace(0.0, _S_CAP, 1000)
-        _, fp, _ = self.flux_eval(s)
+        (fp,) = self.flux_eval(s, (1,))
         return float(np.max(np.abs(fp - 1.0 / self.truncated_density(s))))
 
     # ------------------------------------------------------------------
@@ -316,9 +317,7 @@ class GasModel:
     def _build_flux_cache(self):
         breaks = list(self._piece_breakpoints()) + [self.s_blend_hi]
         self._piece_breaks = np.array(breaks)
-        self._piece_fp = []
-        self._piece_f = []
-        self._piece_fpp = []
+        self._pieces = ([], [], [])  # F, F', F'' per piece
         offset = 0.0
         for a, b in zip(breaks[:-1], breaks[1:]):
             def fprime(t, a=a, b=b):
@@ -328,8 +327,7 @@ class GasModel:
             coef = _cheb.chebinterpolate(fprime, 48)
             integ = _cheb.chebint(coef, k=offset, lbnd=-1.0, scl=0.5 * (b - a))
             deriv = _cheb.chebder(coef, scl=2.0 / (b - a))
-            self._piece_fp.append(coef)
-            self._piece_f.append(integ)
-            self._piece_fpp.append(deriv)
+            for series, c in zip(self._pieces, (integ, coef, deriv)):
+                series.append(c)
             offset = float(_cheb.chebval(1.0, integ))
         self._flux_tail_offset = offset

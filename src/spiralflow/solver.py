@@ -20,6 +20,9 @@ pinned ("zero") or all outer nodes share one floating constant ("gauge").
 The gauge variant lets the discrete far field pick its own additive
 constant and suppresses the spurious logarithmic mode a hard pin
 introduces at finite truncation radius.
+
+Energy, gradient and Hessian at one iterate share an IterateState, which
+evaluates each derivative of F there once; without one they build their own.
 """
 
 import copy
@@ -88,7 +91,6 @@ class FlowProblem:
         self.newton_tol = float(newton_tol)
         self.max_iterations = int(max_iterations)
         self.g0 = background.stream_gradient(mesh.centroids)
-        self.s0 = np.sum(self.g0**2, axis=-1)
         body = mesh.body_nodes
         self.dirichlet = np.zeros(mesh.n_points)
         self.dirichlet[body] = -background.swirl_stream(np.hypot(*mesh.points[body].T))
@@ -96,7 +98,7 @@ class FlowProblem:
 
     def _bind_gas(self, gas):
         self.gas = gas
-        self._f_s0, self._fp_s0, _ = gas.flux_eval(self.s0)
+        self._f_s0, self._fp_s0 = gas.flux_eval(np.sum(self.g0**2, axis=-1), (0, 1))
 
     def with_gas(self, gas):
         """The same problem under another flux law (same gamma, new eps)."""
@@ -114,31 +116,23 @@ class FlowProblem:
         vals = u_full[self.mesh.triangles]
         return np.einsum("ti,tia->ta", vals, self.mesh.shape_gradients)
 
-    def total_gradients(self, u_full):
-        return self.u_gradients(u_full) + self.g0
-
-    def energy(self, u_red):
-        u = self.full_vector(u_red)
-        du = self.u_gradients(u)
-        w = du + self.g0
-        s = np.sum(w**2, axis=-1)
-        f, _, _ = self.gas.flux_eval(s)
-        dens = f - self._f_s0 - 2.0 * self._fp_s0 * np.sum(self.g0 * du, axis=-1)
+    def energy(self, u_red, state=None):
+        st = IterateState(self, u_red) if state is None else state
+        (f,) = st.flux(0)
+        dens = f - self._f_s0 - 2.0 * self._fp_s0 * np.sum(self.g0 * st.du, axis=-1)
         contrib = self.mesh.areas * dens
         check_finite(contrib, "energy")
         return float(np.sum(contrib))
 
-    def gradient_full(self, u_full, include_background_correction=True):
-        """Nodal energy gradient in the full space.
+    def gradient_full(self, state, include_background_correction=True):
+        """Nodal energy gradient at the state's iterate in the full space.
 
         With the correction switched off this is the plain weak form of
         the flow equation tested against every hat function, background
         term included; the difference is the discrete radial defect.
         """
-        w = self.total_gradients(u_full)
-        s = np.sum(w**2, axis=-1)
-        _, fp, _ = self.gas.flux_eval(s)
-        flux = fp[:, None] * w
+        (fp,) = state.flux(1)
+        flux = fp[:, None] * state.w
         if include_background_correction:
             flux = flux - self._fp_s0[:, None] * self.g0
         contrib = 2.0 * self.mesh.areas[:, None] * np.einsum(
@@ -151,18 +145,42 @@ class FlowProblem:
             minlength=self.mesh.n_points,
         )
 
-    def gradient(self, u_red):
-        return self.restriction.T @ self.gradient_full(self.full_vector(u_red))
+    def gradient(self, u_red, state=None):
+        st = IterateState(self, u_red) if state is None else state
+        return self.restriction.T @ self.gradient_full(st)
 
-    def hessian(self, u_red):
-        w = self.total_gradients(self.full_vector(u_red))
+    def hessian(self, u_red, state=None):
+        st = IterateState(self, u_red) if state is None else state
         return self.reduction.assemble(
-            self.mesh.local_stiffness(2.0 * self.gas.coefficient_matrix(w))
+            self.mesh.local_stiffness(2.0 * self.gas.coefficient_matrix(st.w, st.flux(1, 2)))
         )
 
     def dirichlet_seminorm_sq(self, u_full):
         du = self.u_gradients(u_full)
         return float(np.sum(self.mesh.areas * np.sum(du**2, axis=-1)))
+
+
+class IterateState:
+    """What energy, gradient and hessian share at one reduced iterate of one problem.
+
+    u_full, the correction gradient du, the total gradient w = du + g0 and
+    s = |w|^2 per triangle; flux(*orders) evaluates each derivative of F at
+    s once, the first time it is asked for.
+    """
+
+    def __init__(self, problem, u_red):
+        self.gas = problem.gas
+        self.u_full = problem.full_vector(u_red)
+        self.du = problem.u_gradients(self.u_full)
+        self.w = self.du + problem.g0
+        self.s = np.sum(self.w**2, axis=-1)
+        self._flux = {}
+
+    def flux(self, *orders):
+        missing = tuple(k for k in orders if k not in self._flux)
+        if missing:
+            self._flux.update(zip(missing, self.gas.flux_eval(self.s, missing)))
+        return tuple(self._flux[k] for k in orders)
 
 
 @dataclass
@@ -175,36 +193,24 @@ class FlowSolution:
     newton_iterations: int
     gradient_norm: float
     energy: float
+    s_max: float  # max |grad psi|^2 over the triangles, from the final state
+    q_max: float  # max speed over the triangles, from the same state
     residual_history: list = field(default_factory=list)
     energy_history: list = field(default_factory=list)
     linear_iterations: list = field(default_factory=list)  # CG count per step
 
     @property
     def total_gradient(self):
-        return self.problem.total_gradients(self.u_full)
+        return self.problem.u_gradients(self.u_full) + self.problem.g0
 
     @property
     def mass_flux_sq(self):
         return np.sum(self.total_gradient**2, axis=-1)
 
-    def reconstructed_density(self):
-        """Density 1/F'(s) from the cached flux law."""
-        return 1.0 / self.problem.gas.flux_eval(self.mass_flux_sq)[1]
 
-    def reconstructed_speed(self):
-        return np.sqrt(self.mass_flux_sq) / self.reconstructed_density()
-
-    def max_mass_flux_sq(self):
-        return float(np.max(self.mass_flux_sq))
-
-    def truncation_active(self):
-        """True when some triangle reaches the blended part of the flux law."""
-        return self.max_mass_flux_sq() >= self.problem.gas.s_blend_lo
-
-
-def _newton_direction(problem, u, g):
+def _newton_direction(problem, u, g, state=None):
     """(d, iterations, converged) for H(u) d = -g by Laplacian-preconditioned CG."""
-    h = problem.hessian(u)
+    h = problem.hessian(u, state)
     factor = problem.reduction.laplacian_factor(spla.splu)
     precond = spla.LinearOperator(h.shape, matvec=factor.solve, dtype=float)
     iterations = []
@@ -229,6 +235,11 @@ def solve(problem, initial=None):
     energy makes the iteration globally convergent, so exhausting the
     problem.max_iterations budget raises.
 
+    One IterateState serves each iterate: one flux evaluation gives F and
+    F' to the energy and the gradient, and the Hessian adds F''.  Line
+    search trials evaluate F only, the accepted trial's state serves the
+    next iterate, and the final state gives s_max and q_max.
+
     Each step solves H d = -g by conjugate gradients preconditioned with
     the reduced Laplacian, to CG_RTOL relative residual in at most
     CG_MAX_ITERATIONS iterations, or raises.  The ellipticity bounds
@@ -240,30 +251,35 @@ def solve(problem, initial=None):
     u = np.zeros(problem.n_reduced) if initial is None else np.asarray(initial, float).copy()
     if u.shape != (problem.n_reduced,):
         raise ConfigError("initial", "initial iterate has the wrong size")
+    state = IterateState(problem, u)
     history = []
     energies = []
     linear = []
     for it in range(problem.max_iterations + 1):
-        g = problem.gradient(u)
+        state.flux(0, 1)  # one evaluation serves the gradient and the energy
+        g = problem.gradient(u, state)
         gnorm = float(np.linalg.norm(g))
-        energy = problem.energy(u)
+        energy = problem.energy(u, state)
         history.append(gnorm)
         energies.append(energy)
         if gnorm <= problem.newton_tol * (1.0 + abs(energy)):
+            (fp,) = state.flux(1)
             return FlowSolution(
                 problem=problem,
                 u_reduced=u,
-                u_full=problem.full_vector(u),
+                u_full=state.u_full,
                 newton_iterations=it,
                 gradient_norm=gnorm,
                 energy=energy,
+                s_max=float(np.max(state.s)),
+                q_max=float(np.max(np.sqrt(state.s) / (1.0 / fp))),
                 residual_history=history,
                 energy_history=energies,
                 linear_iterations=linear,
             )
         if it == problem.max_iterations:
             break
-        step, cg_iterations, converged = _newton_direction(problem, u, g)
+        step, cg_iterations, converged = _newton_direction(problem, u, g, state)
         if not converged:
             raise NonConvergenceError(
                 f"CG did not reach rtol {CG_RTOL:g} "
@@ -273,25 +289,28 @@ def solve(problem, initial=None):
             )
         linear.append(cg_iterations)
         slope = float(g @ step)
-        t = 1.0
         # The full step lowers I by about -slope / 2, but I is a sum of
         # differences of order-one flux potentials and carries roundoff
         # of a few 1e-16 (5e-16 at most along the final step on the wavy
         # body at h = 0.05).  Below 1e-13 (1 + |I|) the energy test is
         # noise; by convexity so small a decrement puts the iterate in
         # Newton's quadratic region, where the full step is right.
+        t = 1.0
+        state = None  # freed before a trial builds its own
+        trial = u + step
+        state = IterateState(problem, trial)
         if not 0.0 <= -slope <= 1e-13 * (1.0 + abs(energy)):
-            while t >= 2.0**-30:
-                if problem.energy(u + t * step) <= energy + 1e-4 * t * slope:
-                    break
+            while not problem.energy(trial, state) <= energy + 1e-4 * t * slope:
                 t *= 0.5
-            else:
-                raise NonConvergenceError(
-                    "line search failed to reduce the energy",
-                    iterate=u,
-                    history=history,
-                )
-        u = u + t * step
+                if t < 2.0**-30:
+                    raise NonConvergenceError(
+                        "line search failed to reduce the energy",
+                        iterate=u,
+                        history=history,
+                    )
+                trial = u + t * step
+                state = IterateState(problem, trial)
+        u = trial
     raise NonConvergenceError(
         f"Newton did not reach tol {problem.newton_tol:g} "
         f"in {problem.max_iterations} iterations",
@@ -322,10 +341,10 @@ def recover_fields(sol):
     equal rho*q exactly; that identity is asserted here as an internal
     check before dividing out the density.
     """
-    w = sol.total_gradient
-    flux = np.sqrt(np.sum(w**2, axis=-1))
-    rho = sol.reconstructed_density()
-    vel = _rot(w) / rho[:, None]
+    st = IterateState(sol.problem, sol.u_reduced)
+    flux = np.sqrt(st.s)
+    rho = 1.0 / st.flux(1)[0]
+    vel = _rot(st.w) / rho[:, None]
     speed = flux / rho
     if not np.allclose(rho * speed, flux, rtol=1e-12, atol=1e-14):
         raise InternalConsistencyError("density * speed != |grad psi|")
@@ -355,16 +374,12 @@ def weak_residuals(sol, include_background=False):
     mesh = pr.mesh
     red = pr.reduction
     ni = red.interior_nodes.size
-    g_irr = pr.gradient_full(
-        sol.u_full, include_background_correction=not include_background
-    )
+    st = IterateState(pr, sol.u_reduced)
+    g_irr = pr.gradient_full(st, include_background_correction=not include_background)
     irr = (pr.restriction.T @ g_irr)[:ni]
     irrot = float(np.max(np.abs(irr) / (2.0 * red.test_norms[:ni])))
 
-    w = pr.u_gradients(sol.u_full)
-    if include_background:
-        w = w + pr.g0
-    flow = _rot(w)
+    flow = _rot(st.w if include_background else st.du)
     contrib = mesh.areas[:, None] * np.einsum("ta,tia->ti", flow, mesh.shape_gradients)
     m_full = np.bincount(
         mesh.triangles.ravel(), weights=contrib.ravel(), minlength=mesh.n_points

@@ -87,7 +87,7 @@ class TestRemoval:
         assert [p.gas.eps for p in problems] == list(ct.DEFAULT_SCHEDULE)
         first = problems[0]
         for p in problems[1:]:
-            for name in ("mesh", "restriction", "g0", "s0", "dirichlet"):
+            for name in ("mesh", "restriction", "g0", "dirichlet"):
                 assert getattr(p, name) is getattr(first, name)
         assert first.restriction is circle_mesh.reduction("gauge").restriction
         assert calls == [circle_mesh.n_triangles]
@@ -109,7 +109,7 @@ class TestRemoval:
         for eps in (0.2, 0.1):
             pr = FlowProblem(GasModel(2.0, eps), bg, wavy_mesh, newton_tol=1e-11)
             sols.append(solve(pr))
-            assert sols[-1].max_mass_flux_sq() < 1.0 - 2.0 * eps
+            assert sols[-1].s_max < 1.0 - 2.0 * eps
         diff = sols[0].u_full - sols[1].u_full
         pr = sols[0].problem
         err = np.sqrt(pr.dirichlet_seminorm_sq(diff))

@@ -5,6 +5,8 @@ The independent oracles here are deliberately primitive: scalar bisection
 quadrature for the energy density.  The library must agree with them.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -226,6 +228,53 @@ class TestFluxPotential:
         d = np.diff(F)
         assert np.all(d > 0)
         assert np.all(np.diff(d) >= -1e-12)
+
+
+ORDER_SUBSETS = [p for n in (1, 2, 3) for p in itertools.permutations((0, 1, 2), n)]
+
+
+class TestFluxOrders:
+    """flux_eval(s, orders) returns exactly the full triple's entries."""
+
+    @pytest.fixture(scope="class")
+    def gm(self):
+        return GasModel(2.0, 0.1)
+
+    @pytest.fixture(scope="class")
+    def samples(self, gm):
+        # the body, the blend window and the linear tail, interleaved
+        body = np.linspace(0.0, gm.s_blend_lo, 37)
+        blend = np.linspace(gm.s_blend_lo, gm.s_blend_hi, 23)[1:-1]
+        tail = np.linspace(gm.s_blend_hi, 2.0, 11)
+        s = np.concatenate([body, blend, tail])
+        return np.random.default_rng(5).permutation(s)
+
+    @pytest.mark.parametrize("orders", ORDER_SUBSETS)
+    def test_array_subset_bit_identical(self, gm, samples, orders):
+        full = gm.flux_eval(samples)
+        part = gm.flux_eval(samples, orders)
+        assert isinstance(part, tuple) and len(part) == len(orders)
+        for k, vals in zip(orders, part):
+            assert np.array_equal(vals, full[k])
+
+    @pytest.mark.parametrize("orders", ORDER_SUBSETS)
+    def test_scalar_subset_bit_identical(self, gm, orders):
+        for s in (0.3, 0.5 * (gm.s_blend_lo + gm.s_blend_hi), gm.s_blend_hi, 1.5):
+            full = gm.flux_eval(s)
+            part = gm.flux_eval(s, orders)
+            assert all(type(v) is float for v in part)
+            assert part == tuple(full[k] for k in orders)
+
+    def test_default_is_the_triple(self, gm, samples):
+        default = gm.flux_eval(samples)
+        explicit = gm.flux_eval(samples, (0, 1, 2))
+        assert len(default) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(default, explicit))
+
+    def test_coefficient_matrix_with_given_derivatives(self, gm):
+        g = np.random.default_rng(2).uniform(-0.7, 0.7, size=(50, 2))
+        derivs = gm.flux_eval(np.sum(g**2, axis=-1), (1, 2))
+        assert np.array_equal(gm.coefficient_matrix(g, derivs), gm.coefficient_matrix(g))
 
 
 class TestCoefficientMatrix:

@@ -5,11 +5,17 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from spiralflow import continuation as ct
+from spiralflow import gas as gas_module
 from spiralflow.errors import ConfigError, InternalConsistencyError, NonConvergenceError
 from spiralflow.gas import GasModel
 from spiralflow.meshing import Circle, PerturbedCircle, TriangleMesh, build_annulus_mesh
 from spiralflow.radial import RadialBackground
 from spiralflow import solver as sv
+
+
+def truncation_active(sol):
+    """True when some triangle reaches the blended part of the flux law."""
+    return sol.s_max >= sol.problem.gas.s_blend_lo
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +259,8 @@ class TestResiduals:
             newton_iterations=0,
             gradient_norm=np.nan,
             energy=np.nan,
+            s_max=np.nan,
+            q_max=np.nan,
         )
         irrot1, _ = sv.weak_residuals(bumped)
         assert irrot1 >= 10.0 * max(irrot0, 1e-12)
@@ -331,17 +339,17 @@ class TestDiagnostics:
             newton_iterations=0,
             gradient_norm=np.nan,
             energy=np.nan,
+            s_max=np.nan,
+            q_max=np.nan,
         )
         with pytest.raises(InternalConsistencyError, match=r"body edge \(\d+, \d+\)"):
             sv.boundary_flux(sol)
 
     def test_density_matches_root_solve_oracle(self, wavy_solution):
         # hot paths read 1/F' from the cache; the root solve is the oracle
-        rho = wavy_solution.reconstructed_density()
+        rho = sv.recover_fields(wavy_solution).density
         exact = wavy_solution.problem.gas.truncated_density(wavy_solution.mass_flux_sq)
         assert np.max(np.abs(rho - exact) / exact) <= 1e-12
-        fields = sv.recover_fields(wavy_solution)
-        assert np.array_equal(fields.density, rho)
 
     def test_recover_fields_consistency(self, wavy_solution):
         fields = sv.recover_fields(wavy_solution)
@@ -361,7 +369,7 @@ class TestDiagnostics:
         # strictly subsonic data stays strictly subsonic
         assert not fields.supersonic.any()
         assert np.all(fields.mach < 1.0)
-        assert not wavy_solution.truncation_active()
+        assert not truncation_active(wavy_solution)
 
     def test_wavy_decay_rate(self, gas):
         # three-fold symmetric boundary data: leading far-field multipole
@@ -417,3 +425,97 @@ class TestValidation:
                     max_iterations=1,
                 )
             )
+
+
+class TestIterateState:
+    """One flux evaluation per iterate: each series of F at most once."""
+
+    @pytest.fixture
+    def flux_log(self, monkeypatch):
+        """Events in call order: ("energy" | "gradient" | "hessian",) on entry,
+        ("flux", orders, enclosing method) per flux_eval, ("series", n) per
+        piecewise Chebyshev evaluation of n series inside flux_eval."""
+        log, context = [], []
+        real_flux = GasModel.flux_eval
+        real_chebval = gas_module.piecewise_chebval
+
+        def flux_eval(self, s, orders=(0, 1, 2)):
+            log.append(("flux", tuple(orders), context[-1] if context else None))
+            return real_flux(self, s, orders)
+
+        def chebval(breaks, x, *series):
+            log.append(("series", len(series)))
+            return real_chebval(breaks, x, *series)
+
+        def entering(name, real):
+            def method(self, *args, **kwargs):
+                log.append((name,))
+                context.append(name)
+                try:
+                    return real(self, *args, **kwargs)
+                finally:
+                    context.pop()
+
+            return method
+
+        monkeypatch.setattr(GasModel, "flux_eval", flux_eval)
+        monkeypatch.setattr(gas_module, "piecewise_chebval", chebval)
+        for name in ("energy", "gradient", "hessian"):
+            monkeypatch.setattr(
+                sv.FlowProblem, name, entering(name, getattr(sv.FlowProblem, name))
+            )
+        return log
+
+    def test_zero_step_rung_two_calls_four_series(self, flux_log):
+        mesh = build_annulus_mesh(Circle(1.0), 8.0, 0.25)
+        bg = RadialBackground(GasModel(2.0, 0.1), 0.6, 0.75)
+        flux_log.clear()
+        rem = ct.solve_with_truncation_removal(bg, mesh)
+        rungs = len(rem.rungs)
+        assert rungs >= 2
+        assert all(r.newton_iterations == 0 for r in rem.rungs)
+        calls = [e[1] for e in flux_log if e[0] == "flux"]
+        assert len(calls) == 2 * rungs
+        assert sum(len(orders) for orders in calls) == 4 * rungs
+        assert sum(e[1] for e in flux_log if e[0] == "series") == 4 * rungs
+
+    def test_trials_ask_for_f_and_only_hessian_for_f2(self, flux_log, wavy_problem):
+        sol = sv.solve(wavy_problem)
+        n = sol.newton_iterations
+        assert n >= 2
+        calls = [e for e in flux_log if e[0] == "flux"]
+        # F'' is asked for by the Hessian alone, once per Newton step
+        assert [e for e in calls if 2 in e[1]] == [("flux", (2,), "hessian")] * n
+        # energies between a Hessian and the next gradient are line-search
+        # trials; each evaluates F and nothing else
+        trials, after_hessian = [], False
+        for i, e in enumerate(flux_log):
+            if e[0] in ("hessian", "gradient"):
+                after_hessian = e[0] == "hessian"
+            elif e == ("energy",) and after_hessian:
+                trials.append(flux_log[i + 1])
+        assert len(trials) >= 1
+        assert trials == [("flux", (0,), "energy")] * len(trials)
+        # one evaluation per iterate, one per Hessian, one per trial
+        assert len(calls) == (n + 1) + n + len(trials)
+
+    def test_explicit_state_matches_stateless(self, wavy_problem):
+        rng = np.random.default_rng(21)
+        n = wavy_problem.n_reduced
+        for u in (np.zeros(n), 0.05 * rng.standard_normal(n)):
+            fresh = sv.IterateState(wavy_problem, u)
+            primed = sv.IterateState(wavy_problem, u)
+            primed.flux(0, 1)  # as the solve primes each iterate
+            for st in (fresh, primed):
+                assert wavy_problem.energy(u, st) == wavy_problem.energy(u)
+                assert np.array_equal(wavy_problem.gradient(u, st), wavy_problem.gradient(u))
+                h_state, h_plain = wavy_problem.hessian(u, st), wavy_problem.hessian(u)
+                assert np.array_equal(h_state.indptr, h_plain.indptr)
+                assert np.array_equal(h_state.indices, h_plain.indices)
+                assert np.array_equal(h_state.data, h_plain.data)
+
+    def test_s_max_and_q_max_from_final_state(self, wavy_solution):
+        s = wavy_solution.mass_flux_sq
+        fields = sv.recover_fields(wavy_solution)
+        assert wavy_solution.s_max == float(np.max(s))
+        assert wavy_solution.q_max == float(np.max(fields.speed))
