@@ -34,7 +34,7 @@ from .solver import (
     recover_fields,
     weak_residuals,
 )
-from .vtkio import write_vtk
+from .vtkio import format_double, write_vtk
 
 _NUMERICAL_ERRORS = (
     NonConvergenceError,
@@ -43,11 +43,6 @@ _NUMERICAL_ERRORS = (
     MeshQualityError,
     InternalConsistencyError,
 )
-
-
-def _fmt(x):
-    """17 significant digits: enough to round-trip any double exactly."""
-    return format(float(x), ".17g")
 
 
 def _write_text(path: Path, text: str):
@@ -67,7 +62,7 @@ def _write_csv(path: Path, header, rows):
             if isinstance(v, bool):
                 cells.append("true" if v else "false")
             else:
-                cells.append(_fmt(v))
+                cells.append(format_double(v))
         lines.append(",".join(cells))
     _write_text(path, "\n".join(lines) + "\n")
 

@@ -15,6 +15,13 @@ Node (ring i, column j) has index i * n_cols + j, rings ordered from the
 body outward.  Every quad cell is split along the same diagonal into two
 counterclockwise triangles, so rebuilding a mesh from the same inputs is
 bit-for-bit reproducible.
+
+A mesh finds its largest rotation symmetry from its geometry on first
+use (detect_rotation), whatever its numbering: a circle's grid is
+invariant under a turn by one column, a k-fold rippled body's grid when
+k divides the column count.  Its orbit reduction then has one unknown
+per node orbit and works on a Sector of one triangle per triangle orbit,
+weighted by the orbit size.
 """
 
 import math
@@ -98,8 +105,12 @@ class Reduction:
 
     restriction maps the unknowns to nodes.  Every reduced matrix shares
     the Laplacian's CSC pattern; slots sends each entry of the flattened
-    (n_tri, 3, 3) local matrices to its data slot, or to the spare slot
-    nnz when a corner carries no unknown.
+    (n_tri, 3, 3) local matrices of the reduction's triangles to its data
+    slot, or to the spare slot nnz when a corner carries no unknown.
+
+    The triangles are the mesh's own unless sector is set: then each
+    unknown stands for a whole rotation orbit of nodes (multiplicity[i]
+    full unknowns) and the triangles are the sector's.
     """
 
     interior_nodes: np.ndarray
@@ -107,7 +118,19 @@ class Reduction:
     slots: np.ndarray  # int32, (9 n_tri,)
     laplacian: sp.csc_matrix  # restriction^T K restriction
     test_norms: np.ndarray  # H1-seminorm of each reduced hat function
+    sector: "Sector | None" = None
+    multiplicity: np.ndarray | None = None
     _factor: object = field(default=None, init=False, repr=False)
+
+    def norm(self, g):
+        """Euclidean norm of the full reduction's vector that g stands for.
+
+        An orbit unknown's component is the sum of its multiplicity equal
+        full components, so their squares sum to g_i^2 / multiplicity_i.
+        """
+        if self.multiplicity is None:
+            return float(np.linalg.norm(g))
+        return float(np.sqrt(np.sum(g**2 / self.multiplicity)))
 
     def laplacian_factor(self, factorize):
         """factorize(laplacian) from the first call, kept for every later one."""
@@ -145,6 +168,22 @@ def _pattern(corner_dofs, n):
     indices = (unique % n).astype(np.int32)
     indptr = np.searchsorted(unique, np.arange(n + 1, dtype=np.int64) * n).astype(np.int32)
     return slots, indices, indptr
+
+
+def _check_far_field(far_field):
+    if far_field not in ("gauge", "zero"):
+        raise ConfigError("far_field", f"unknown far-field policy {far_field!r}")
+
+
+def _shape_gradients(p, areas):
+    """P1 shape-function gradients of triangles with corners p, (n, 3, 2)."""
+    out = np.empty((p.shape[0], 3, 2))
+    for k in range(3):
+        a = p[:, (k + 1) % 3]
+        b = p[:, (k + 2) % 3]
+        out[:, k, 0] = a[:, 1] - b[:, 1]
+        out[:, k, 1] = b[:, 0] - a[:, 0]
+    return out / (2.0 * areas)[:, None, None]
 
 
 class TriangleMesh:
@@ -201,19 +240,13 @@ class TriangleMesh:
     @cached_property
     def shape_gradients(self):
         """P1 shape-function gradients, (n_tri, 3, 2)."""
-        p = self.corners
-        out = np.empty((self.n_triangles, 3, 2))
-        for k in range(3):
-            a = p[:, (k + 1) % 3]
-            b = p[:, (k + 2) % 3]
-            out[:, k, 0] = a[:, 1] - b[:, 1]
-            out[:, k, 1] = b[:, 0] - a[:, 0]
-        return out / (2.0 * self.areas)[:, None, None]
+        return _shape_gradients(self.corners, self.areas)
 
     def local_stiffness(self, coef):
         """Per-triangle P1 matrices for one 2x2 coefficient each, (n_tri, 3, 3)."""
         B = self.shape_gradients
-        k_loc = (B @ coef @ B.transpose(0, 2, 1)) * self.areas[:, None, None]
+        k_loc = B @ coef @ B.transpose(0, 2, 1)
+        k_loc *= self.areas[:, None, None]
         check_finite(k_loc, "stiffness")
         return k_loc
 
@@ -223,30 +256,70 @@ class TriangleMesh:
         far_field "zero" pins the outer ring to zero; "gauge" lets it
         float on one shared unknown.
         """
-        if far_field not in ("gauge", "zero"):
-            raise ConfigError("far_field", f"unknown far-field policy {far_field!r}")
+        _check_far_field(far_field)
         if far_field not in self._reductions:
-            n = self.n_points
-            free = np.ones(n, dtype=bool)
-            free[self.body_nodes] = free[self.outer_nodes] = False
-            interior = np.nonzero(free)[0]
-            dof = np.full(n, -1, dtype=np.int64)
-            dof[interior] = np.arange(interior.size)
-            if far_field == "gauge":
-                dof[self.outer_nodes] = interior.size
-            n_red = interior.size + (far_field == "gauge")
-            nodes = np.nonzero(dof >= 0)[0]
-            restriction = sp.csr_matrix(
-                (np.ones(nodes.size), (nodes, dof[nodes])), shape=(n, n_red)
-            )
-            slots, indices, indptr = _pattern(dof[self.triangles], n_red)
-            eye = np.broadcast_to(np.eye(2), (self.n_triangles, 2, 2))
-            lap = _scatter(slots, self.local_stiffness(eye), indices, indptr)
-            norms = np.sqrt(np.maximum(lap.diagonal(), 1e-300))
-            self._reductions[far_field] = Reduction(
-                interior, restriction, slots, lap, norms
-            )
+            self._reductions[far_field] = self._reduce(far_field, None)
         return self._reductions[far_field]
+
+    def orbit_reduction(self, far_field):
+        """The reduction a solve runs on, built once per policy.
+
+        With a rotation symmetry of order k > 1 it has one unknown per
+        node orbit (plus the gauge) and works on the rotation's sector;
+        with k = 1 it is reduction(far_field) itself.
+        """
+        _check_far_field(far_field)
+        rotation = self.rotation
+        if rotation.k == 1:
+            return self.reduction(far_field)
+        key = ("orbit", far_field)
+        if key not in self._reductions:
+            self._reductions[key] = self._reduce(far_field, rotation)
+        return self._reductions[key]
+
+    def _reduce(self, far_field, rotation):
+        """far_field's reduction on the whole mesh, or on rotation's orbits."""
+        n = self.n_points
+        free = np.ones(n, dtype=bool)
+        free[self.body_nodes] = free[self.outer_nodes] = False
+        dof = np.full(n, -1, dtype=np.int64)
+        if rotation is None:
+            cells, multiplicity = self, None
+            interior = np.nonzero(free)[0]
+            dof[interior] = np.arange(interior.size)
+        else:
+            cells = rotation.sector(self)
+            # one unknown per orbit, numbered by its smallest node
+            interior = np.nonzero(free & (rotation.node_orbits == np.arange(n)))[0]
+            dof[interior] = np.arange(interior.size)
+            dof = dof[rotation.node_orbits]
+            multiplicity = np.full(interior.size + (far_field == "gauge"), float(rotation.k))
+            multiplicity[interior.size :] = 1.0
+        if far_field == "gauge":
+            dof[self.outer_nodes] = interior.size
+        n_red = interior.size + (far_field == "gauge")
+        nodes = np.nonzero(dof >= 0)[0]
+        restriction = sp.csr_matrix(
+            (np.ones(nodes.size), (nodes, dof[nodes])), shape=(n, n_red)
+        )
+        slots, indices, indptr = _pattern(dof[cells.triangles], n_red)
+        eye = np.broadcast_to(np.eye(2), (cells.triangles.shape[0], 2, 2))
+        lap = _scatter(slots, cells.local_stiffness(eye), indices, indptr)
+        norms = np.sqrt(np.maximum(lap.diagonal(), 1e-300))
+        return Reduction(
+            interior,
+            restriction,
+            slots,
+            lap,
+            norms,
+            sector=None if rotation is None else cells,
+            multiplicity=multiplicity,
+        )
+
+    @cached_property
+    def rotation(self):
+        """The mesh's largest rotation symmetry, found on first use."""
+        return detect_rotation(self)
 
     @cached_property
     def body_edge_triangles(self):
@@ -305,6 +378,156 @@ class TriangleMesh:
     def body_edge_list(self):
         """Directed body-boundary edges, counterclockwise closed cycle."""
         return np.stack([self.body_nodes, np.roll(self.body_nodes, -1)], axis=1)
+
+
+@dataclass(eq=False)
+class Sector:
+    """One triangle per rotation orbit, each weighted by the orbit size k.
+
+    The areas carry the weight, so for a field with the mesh's symmetry a
+    sum over the sector, such as the energy and its derivatives, is the
+    sum over the whole mesh.
+    """
+
+    triangles: np.ndarray
+    areas: np.ndarray  # k times the triangle areas
+    shape_gradients: np.ndarray
+    centroids: np.ndarray
+
+    local_stiffness = TriangleMesh.local_stiffness  # reads shape_gradients and areas
+
+
+@dataclass(frozen=True, eq=False)
+class Rotation:
+    """A rotation by 2 pi / k about the origin that maps the mesh onto itself.
+
+    node_orbits and triangle_orbits label each node and each triangle by
+    the smallest index in its orbit; both are None when k = 1.
+    """
+
+    k: int
+    node_orbits: np.ndarray | None = None
+    triangle_orbits: np.ndarray | None = None
+
+    def sector(self, mesh):
+        """The sector of the orbits' smallest triangles."""
+        index = np.nonzero(self.triangle_orbits == np.arange(mesh.n_triangles))[0]
+        corners = mesh.corners[index]
+        areas = mesh.areas[index]
+        return Sector(
+            triangles=mesh.triangles[index],
+            areas=self.k * areas,
+            shape_gradients=_shape_gradients(corners, areas),
+            centroids=corners.mean(axis=1),
+        )
+
+
+#: rotated points match mesh points within this fraction of the mesh extent
+ROTATION_TOL = 1e-9
+
+# points are matched by sorting their projections on this direction; at
+# one radian it is parallel to no grid line of a polar grid
+_DIRECTION = np.array([math.cos(1.0), math.sin(1.0)])
+
+
+def detect_rotation(mesh):
+    """The largest rotation symmetry of the mesh's geometry.
+
+    Candidates for k are the divisors of the body-node count, largest
+    first; one is skipped unless turning the counterclockwise body ring
+    by n_body / k nodes matches the rotated body points.  A candidate is
+    accepted only if every rotated point lands within ROTATION_TOL times
+    the mesh extent of a mesh point, both rings and the triangle set map
+    onto themselves, and every orbit has k members.  k = 1 otherwise.
+    """
+    points, body = mesh.points, mesh.body_nodes
+    n_body = body.size
+    ring = points[body]
+    tol = ROTATION_TOL * float(np.max(np.abs(points)))
+    for k in range(n_body, 1, -1):
+        if n_body % k:
+            continue
+        c, s = math.cos(2.0 * math.pi / k), math.sin(2.0 * math.pi / k)
+        turn = np.array([[c, s], [-s, c]])  # p @ turn rotates p by 2 pi / k
+        turned_ring = np.roll(body, -(n_body // k))
+        if np.max(np.hypot(*(ring @ turn - points[turned_ring]).T)) > tol:
+            continue
+        image = _match_points(points, points @ turn, tol)
+        if (
+            image is None
+            or not np.array_equal(image[body], turned_ring)
+            or not np.array_equal(np.sort(image[mesh.outer_nodes]), np.sort(mesh.outer_nodes))
+        ):
+            continue
+        triangle_image = _triangle_image(mesh.triangles, image)
+        if triangle_image is None:
+            continue
+        node_orbits = _orbit_labels(image, k)
+        triangle_orbits = _orbit_labels(triangle_image, k)
+        if node_orbits is not None and triangle_orbits is not None:
+            return Rotation(k, node_orbits, triangle_orbits)
+    return Rotation(1)
+
+
+def _match_points(points, images, tol):
+    """Index of the point within tol of each image; None if one has none.
+
+    Only points whose projection lies within tol of the image's can be
+    that close, and sorting the projections finds them.
+    """
+    f = points @ _DIRECTION
+    order = np.argsort(f)
+    f = f[order]
+    g = images @ _DIRECTION
+    lo = np.searchsorted(f, g - tol, "left")
+    hi = np.searchsorted(f, g + tol, "right")
+    if np.any(hi <= lo):
+        return None
+    best = order[lo]
+    dist = np.hypot(*(points[best] - images).T)
+    for offset in range(1, int(np.max(hi - lo))):
+        other = order[np.minimum(lo + offset, hi - 1)]
+        d = np.hypot(*(points[other] - images).T)
+        closer = d < dist
+        best[closer] = other[closer]
+        dist[closer] = d[closer]
+    if np.any(dist > tol) or np.any(np.bincount(best, minlength=f.size) != 1):
+        return None
+    return best
+
+
+def _triangle_image(triangles, image):
+    """Index of the triangle each triangle's nodes map onto under image.
+
+    None if the triangle set does not map onto itself.
+    """
+    own = np.sort(triangles, axis=1)
+    moved = np.sort(image[triangles], axis=1)
+    a = np.lexsort(own.T[::-1])
+    b = np.lexsort(moved.T[::-1])
+    if not np.array_equal(own[a], moved[b]):
+        return None
+    out = np.empty_like(a)
+    out[b] = a
+    return out
+
+
+def _orbit_labels(image, k):
+    """Smallest index in each orbit of the permutation image.
+
+    Doubling windows take the minimum over the first 1, 2, 4, ... members
+    of each orbit.  None unless every orbit has exactly k members.
+    """
+    label = np.arange(image.size)
+    jump, span = image, 1
+    while span < k:
+        label = np.minimum(label, label[jump])
+        jump = jump[jump]
+        span *= 2
+    sizes = np.bincount(label, minlength=image.size)
+    if not np.array_equal(label[image], label) or np.any(sizes[sizes > 0] != k):
+        return None
+    return label
 
 
 @dataclass(frozen=True)

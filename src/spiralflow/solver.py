@@ -23,6 +23,19 @@ introduces at finite truncation radius.
 
 Energy, gradient and Hessian at one iterate share an IterateState, which
 evaluates each derivative of F there once; without one they build their own.
+
+Rotation symmetry: the energy is strictly convex, so when the mesh and
+the radial background are invariant under rotation by 2 pi / k the
+minimizer is invariant too.  On such a mesh the problem solves on the
+mesh's orbit reduction: one unknown per node orbit (plus the gauge), and
+energy, gradient and Hessian summed over one triangle per orbit with area
+weight k.  The Newton stopping rule reads the gradient's norm in the full
+reduction, and s_max, q_max and the removal certificate come from the
+sector's final state; they are exact for that discrete problem, which
+differs from the full one only by the roundoff in the rotated
+coordinates.  full_vector and FlowSolution.u_full give u on every node,
+and the post-solve diagnostics run on the problem's whole-mesh view.
+With k = 1 the problem is its own whole view.
 """
 
 import copy
@@ -82,19 +95,26 @@ class FlowProblem:
             raise ConfigError("newton_tol", "tolerance must be positive")
         if max_iterations < 1:
             raise ConfigError("max_iterations", "need at least one iteration")
-        self.reduction = mesh.reduction(far_field)
-        self.restriction = self.reduction.restriction
-        self.n_reduced = self.restriction.shape[1]
+        reduction = mesh.orbit_reduction(far_field)
         self.background = background
         self.mesh = mesh
         self.far_field = far_field
         self.newton_tol = float(newton_tol)
         self.max_iterations = int(max_iterations)
-        self.g0 = background.stream_gradient(mesh.centroids)
+        self._discretize(reduction)
         body = mesh.body_nodes
         self.dirichlet = np.zeros(mesh.n_points)
         self.dirichlet[body] = -background.swirl_stream(np.hypot(*mesh.points[body].T))
         self._bind_gas(gas)
+
+    def _discretize(self, reduction):
+        """Solve for reduction's unknowns on its triangles: the sector's, or
+        the whole mesh's; the background gradient is sampled there."""
+        self.reduction = reduction
+        self.restriction = reduction.restriction
+        self.n_reduced = self.restriction.shape[1]
+        self.cells = self.mesh if reduction.sector is None else reduction.sector
+        self.g0 = self.background.stream_gradient(self.cells.centroids)
 
     def _bind_gas(self, gas):
         self.gas = gas
@@ -103,24 +123,43 @@ class FlowProblem:
     def with_gas(self, gas):
         """The same problem under another flux law (same gamma, new eps)."""
         other = copy.copy(self)
+        other.__dict__.pop("_whole", None)
         other._bind_gas(gas)
         return other
+
+    @property
+    def whole(self):
+        """This problem on every triangle of the mesh, for the diagnostics.
+
+        A problem that solves on a sector builds it on first use, with
+        the same gas, background and Dirichlet data; any other problem
+        is its own whole view.
+        """
+        if self.cells is self.mesh:
+            return self
+        if "_whole" not in self.__dict__:
+            whole = copy.copy(self)
+            whole._discretize(self.mesh.reduction(self.far_field))
+            whole._bind_gas(self.gas)
+            self._whole = whole
+        return self._whole
 
     # ------------------------------------------------------------------
 
     def full_vector(self, u_red):
+        """The correction u on every node of the mesh."""
         return self.restriction @ u_red + self.dirichlet
 
     def u_gradients(self, u_full):
-        """Per-triangle gradient of the P1 field, (n_tri, 2)."""
-        vals = u_full[self.mesh.triangles]
-        return np.einsum("ti,tia->ta", vals, self.mesh.shape_gradients)
+        """Gradient of the P1 field on each of the problem's triangles, (n, 2)."""
+        vals = u_full[self.cells.triangles]
+        return np.einsum("ti,tia->ta", vals, self.cells.shape_gradients)
 
     def energy(self, u_red, state=None):
         st = IterateState(self, u_red) if state is None else state
         (f,) = st.flux(0)
         dens = f - self._f_s0 - 2.0 * self._fp_s0 * np.sum(self.g0 * st.du, axis=-1)
-        contrib = self.mesh.areas * dens
+        contrib = self.cells.areas * dens
         check_finite(contrib, "energy")
         return float(np.sum(contrib))
 
@@ -129,18 +168,19 @@ class FlowProblem:
 
         With the correction switched off this is the plain weak form of
         the flow equation tested against every hat function, background
-        term included; the difference is the discrete radial defect.
+        term included; the difference is the discrete radial defect.  On
+        a sector the triangles outside it contribute nothing.
         """
         (fp,) = state.flux(1)
         flux = fp[:, None] * state.w
         if include_background_correction:
             flux = flux - self._fp_s0[:, None] * self.g0
-        contrib = 2.0 * self.mesh.areas[:, None] * np.einsum(
-            "ta,tia->ti", flux, self.mesh.shape_gradients
+        contrib = 2.0 * self.cells.areas[:, None] * np.einsum(
+            "ta,tia->ti", flux, self.cells.shape_gradients
         )
         check_finite(contrib, "gradient")
         return np.bincount(
-            self.mesh.triangles.ravel(),
+            self.cells.triangles.ravel(),
             weights=contrib.ravel(),
             minlength=self.mesh.n_points,
         )
@@ -152,12 +192,12 @@ class FlowProblem:
     def hessian(self, u_red, state=None):
         st = IterateState(self, u_red) if state is None else state
         return self.reduction.assemble(
-            self.mesh.local_stiffness(2.0 * self.gas.coefficient_matrix(st.w, st.flux(1, 2)))
+            self.cells.local_stiffness(2.0 * self.gas.coefficient_matrix(st.w, st.flux(1, 2)))
         )
 
     def dirichlet_seminorm_sq(self, u_full):
         du = self.u_gradients(u_full)
-        return float(np.sum(self.mesh.areas * np.sum(du**2, axis=-1)))
+        return float(np.sum(self.cells.areas * np.sum(du**2, axis=-1)))
 
 
 class IterateState:
@@ -165,22 +205,42 @@ class IterateState:
 
     u_full, the correction gradient du, the total gradient w = du + g0 and
     s = |w|^2 per triangle; flux(*orders) evaluates each derivative of F at
-    s once, the first time it is asked for.
+    s once, the first time it is asked for.  keep_hessian_inputs() drops
+    what the Hessian does not read.
     """
 
     def __init__(self, problem, u_red):
+        self._at(problem, problem.full_vector(u_red))
+
+    @classmethod
+    def of_field(cls, problem, u_full):
+        """The state at a correction given on every node of the mesh."""
+        state = cls.__new__(cls)
+        state._at(problem, u_full)
+        return state
+
+    def _at(self, problem, u_full):
         self.gas = problem.gas
-        self.u_full = problem.full_vector(u_red)
-        self.du = problem.u_gradients(self.u_full)
+        self.u_full = u_full
+        self.du = problem.u_gradients(u_full)
         self.w = self.du + problem.g0
         self.s = np.sum(self.w**2, axis=-1)
         self._flux = {}
 
     def flux(self, *orders):
-        missing = tuple(k for k in orders if k not in self._flux)
+        have = self._flux
+        missing = tuple(k for k in orders if k not in have)
         if missing:
-            self._flux.update(zip(missing, self.gas.flux_eval(self.s, missing)))
-        return tuple(self._flux[k] for k in orders)
+            s = self.s
+            if s is None:  # released: evaluate from w and keep nothing new
+                have, s = dict(have), np.sum(self.w**2, axis=-1)
+            have.update(zip(missing, self.gas.flux_eval(s, missing)))
+        return tuple(have[k] for k in orders)
+
+    def keep_hessian_inputs(self):
+        """Release u_full, du, s and F: the Hessian reads only w, F' and F''."""
+        self.u_full = self.du = self.s = None
+        self._flux.pop(0, None)
 
 
 @dataclass
@@ -201,7 +261,9 @@ class FlowSolution:
 
     @property
     def total_gradient(self):
-        return self.problem.u_gradients(self.u_full) + self.problem.g0
+        """grad psi on every triangle of the mesh, (n_tri, 2)."""
+        whole = self.problem.whole
+        return whole.u_gradients(self.u_full) + whole.g0
 
     @property
     def mass_flux_sq(self):
@@ -258,7 +320,7 @@ def solve(problem, initial=None):
     for it in range(problem.max_iterations + 1):
         state.flux(0, 1)  # one evaluation serves the gradient and the energy
         g = problem.gradient(u, state)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = problem.reduction.norm(g)
         energy = problem.energy(u, state)
         history.append(gnorm)
         energies.append(energy)
@@ -279,6 +341,7 @@ def solve(problem, initial=None):
             )
         if it == problem.max_iterations:
             break
+        state.keep_hessian_inputs()
         step, cg_iterations, converged = _newton_direction(problem, u, g, state)
         if not converged:
             raise NonConvergenceError(
@@ -341,7 +404,7 @@ def recover_fields(sol):
     equal rho*q exactly; that identity is asserted here as an internal
     check before dividing out the density.
     """
-    st = IterateState(sol.problem, sol.u_reduced)
+    st = IterateState.of_field(sol.problem.whole, sol.u_full)
     flux = np.sqrt(st.s)
     rho = 1.0 / st.flux(1)[0]
     vel = _rot(st.w) / rho[:, None]
@@ -370,11 +433,11 @@ def weak_residuals(sol, include_background=False):
     far-field gauge function is excluded either way: against it the raw
     form measures the physical source flux, not an error).
     """
-    pr = sol.problem
+    pr = sol.problem.whole
     mesh = pr.mesh
     red = pr.reduction
     ni = red.interior_nodes.size
-    st = IterateState(pr, sol.u_reduced)
+    st = IterateState.of_field(pr, sol.u_full)
     g_irr = pr.gradient_full(st, include_background_correction=not include_background)
     irr = (pr.restriction.T @ g_irr)[:ni]
     irrot = float(np.max(np.abs(irr) / (2.0 * red.test_norms[:ni])))
@@ -397,7 +460,7 @@ def boundary_flux(sol):
     midpoint, so the rule is second order along the polygonal boundary.
     The continuum value is 2 pi rho0 kappa1 regardless of the body shape.
     """
-    pr = sol.problem
+    pr = sol.problem.whole
     mesh = pr.mesh
     a, b = mesh.points[mesh.body_edge_list().T]
     mid = _project_outside_unit_circle(0.5 * (a + b))
@@ -425,7 +488,7 @@ def decay_report(sol):
     below 1e-13; otherwise a rate is fitted from two rings or more, and
     slope is None when there are fewer.
     """
-    pr = sol.problem
+    pr = sol.problem.whole
     mesh = pr.mesh
     body_r = np.max(np.hypot(*mesh.points[mesh.body_nodes].T))
     outer_r = np.max(np.hypot(*mesh.points[mesh.outer_nodes].T))
@@ -462,7 +525,7 @@ def background_gradient_error(sol):
     radial flow solves the problem exactly) this measures pure
     interpolation error and decays like h.
     """
-    pr = sol.problem
+    pr = sol.problem.whole
     mesh = pr.mesh
     p = mesh.corners
     mids = _project_outside_unit_circle(0.5 * (p + np.roll(p, -1, axis=1)))

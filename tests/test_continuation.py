@@ -87,10 +87,15 @@ class TestRemoval:
         assert [p.gas.eps for p in problems] == list(ct.DEFAULT_SCHEDULE)
         first = problems[0]
         for p in problems[1:]:
-            for name in ("mesh", "restriction", "g0", "dirichlet"):
+            for name in ("mesh", "restriction", "cells", "g0", "dirichlet"):
                 assert getattr(p, name) is getattr(first, name)
-        assert first.restriction is circle_mesh.reduction("gauge").restriction
-        assert calls == [circle_mesh.n_triangles]
+        # the circle mesh is rotation invariant: the rungs solve on its
+        # orbit reduction, and the background is sampled on the sector
+        orbits = circle_mesh.orbit_reduction("gauge")
+        assert circle_mesh.rotation.k == circle_mesh.n_cols
+        assert first.restriction is orbits.restriction
+        assert first.cells is orbits.sector
+        assert calls == [circle_mesh.n_triangles // circle_mesh.rotation.k]
 
     def test_wavy_body_certifies_past_roundoff_stall(self):
         # at h = 0.05 the last Newton decrement (about 3e-17) is below the

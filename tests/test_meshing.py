@@ -223,6 +223,33 @@ class TestVtk:
         write_vtk(p2, circle_mesh, point_data={"f": np.sin(circle_mesh.points[:, 1])})
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_bytes_match_per_value_formatting(self, tmp_path, circle_mesh):
+        # blocks are formatted in one call each; every value must still
+        # read as "%.17g" of itself, non-finite and signed zeros included
+        m = circle_mesh
+        cell = np.linspace(-1.0, 1.0, m.n_triangles)
+        cell[:4] = [np.nan, np.inf, -np.inf, -0.0]
+        vec = np.stack([cell, 1e-300 * cell], axis=1)
+        point = 1e20 * np.sin(m.points[:, 0])
+        path = tmp_path / "f.vtk"
+        write_vtk(path, m, point_data={"p": point}, cell_data={"c": cell, "v": vec}, title="t")
+
+        def f(x):
+            return "%.17g" % float(x)
+
+        lines = ["# vtk DataFile Version 3.0", "t", "ASCII", "DATASET UNSTRUCTURED_GRID"]
+        lines += [f"POINTS {m.n_points} double"] + [f"{f(x)} {f(y)} 0" for x, y in m.points]
+        lines += [f"CELLS {m.n_triangles} {4 * m.n_triangles}"]
+        lines += [f"3 {a} {b} {c}" for a, b, c in m.triangles]
+        lines += [f"CELL_TYPES {m.n_triangles}"] + ["5"] * m.n_triangles
+        lines += [f"POINT_DATA {m.n_points}", "SCALARS p double 1", "LOOKUP_TABLE default"]
+        lines += [f(x) for x in point]
+        lines += [f"CELL_DATA {m.n_triangles}", "SCALARS c double 1", "LOOKUP_TABLE default"]
+        lines += [f(x) for x in cell]
+        lines += ["VECTORS v double"] + [f"{f(x)} {f(y)} 0" for x, y in vec]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_size_mismatch_rejected(self, tmp_path, circle_mesh):
         with pytest.raises(ValueError):
             write_vtk(tmp_path / "bad.vtk", circle_mesh, point_data={"f": np.ones(3)})
+        assert not (tmp_path / "bad.vtk").exists()

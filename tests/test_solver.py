@@ -514,6 +514,19 @@ class TestIterateState:
                 assert np.array_equal(h_state.indices, h_plain.indices)
                 assert np.array_equal(h_state.data, h_plain.data)
 
+    def test_state_kept_for_the_hessian(self, wavy_problem):
+        # the solve releases all but w and F' before the Hessian, which
+        # then evaluates F'' from w without keeping it
+        u = 0.05 * np.random.default_rng(22).standard_normal(wavy_problem.n_reduced)
+        st = sv.IterateState(wavy_problem, u)
+        st.flux(0, 1)
+        st.keep_hessian_inputs()
+        assert st.u_full is None and st.du is None and st.s is None
+        h_kept = wavy_problem.hessian(u, st)
+        assert list(st._flux) == [1]
+        h_plain = wavy_problem.hessian(u)
+        assert np.array_equal(h_kept.data, h_plain.data)
+
     def test_s_max_and_q_max_from_final_state(self, wavy_solution):
         s = wavy_solution.mass_flux_sq
         fields = sv.recover_fields(wavy_solution)

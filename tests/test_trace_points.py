@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse.linalg
 
 from spiralflow import continuation as ct
-from spiralflow import gas
+from spiralflow import gas, meshing
 from spiralflow import solver as sv
 from spiralflow.meshing import PerturbedCircle, build_annulus_mesh
 from spiralflow.radial import RadialBackground
@@ -46,6 +46,15 @@ def test_flux_law_work_goes_through_flux_eval(monkeypatch):
     """Every series evaluation of F and every root solve of the density
     in a removal and its diagnostics happen inside flux_eval or, for the
     cache build, inside GasModel.__init__."""
+    _check_flux_law_work(monkeypatch, 0.3, 1)
+
+
+def test_flux_law_work_on_a_sector_goes_through_flux_eval(monkeypatch):
+    # h = 0.21 gives 36 columns: the mesh is 3-fold invariant and solved on a sector
+    _check_flux_law_work(monkeypatch, 0.21, 3)
+
+
+def _check_flux_law_work(monkeypatch, h, k):
     inside, outside = [], []
     real = {name: gas.GasModel.__dict__[name] for name in ("__init__", "flux_eval")}
 
@@ -80,7 +89,8 @@ def test_flux_law_work_goes_through_flux_eval(monkeypatch):
 
     monkeypatch.setattr(gas.GasModel, "coefficient_matrix", coefficient_matrix)
 
-    mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, 3), 16.0, 0.3)
+    mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, 3), 16.0, h)
+    assert mesh.rotation.k == k
     bg = RadialBackground(gas.GasModel(1.7, 0.1), 0.3, 0.2)
     rem = ct.solve_with_truncation_removal(bg, mesh, schedule=(0.21, 0.11))
     sol = rem.solution
@@ -93,3 +103,50 @@ def test_flux_law_work_goes_through_flux_eval(monkeypatch):
     # the Hessian's coefficient goes through the traced coefficient_matrix
     assert len(coefficient_calls) == sum(r.newton_iterations for r in rem.rungs)
     assert np.isfinite(sol.q_max)
+
+
+@pytest.mark.parametrize("h, k", [(0.3, 1), (0.21, 3)])
+def test_newton_work_goes_through_traced_methods(monkeypatch, h, k):
+    """The per-triangle energy, gradient and Hessian work of a removal,
+    on a sector as on the whole mesh, runs inside the FlowProblem methods
+    the tracer wraps: one gradient per iterate and one Hessian per step."""
+    mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, 3), 16.0, h)
+    assert mesh.rotation.k == k
+    mesh.orbit_reduction("gauge")  # the Laplacian is built before watching
+    entered, context, work = [], [], []
+
+    def entering(name, real):
+        def method(self, *args, **kwargs):
+            entered.append(name)
+            context.append(name)
+            try:
+                return real(self, *args, **kwargs)
+            finally:
+                context.pop()
+
+        return method
+
+    for name in ("energy", "gradient", "hessian"):
+        monkeypatch.setattr(sv.FlowProblem, name, entering(name, getattr(sv.FlowProblem, name)))
+
+    def watched(module):
+        real = module.check_finite
+
+        def check_finite(contrib, what):
+            work.append((what, context[-1] if context else None))
+            return real(contrib, what)
+
+        return check_finite
+
+    monkeypatch.setattr(sv, "check_finite", watched(sv))
+    monkeypatch.setattr(meshing, "check_finite", watched(meshing))
+    rem = ct.solve_with_truncation_removal(
+        RadialBackground(gas.GasModel(1.7, 0.1), 0.3, 0.2), mesh, schedule=(0.21, 0.11)
+    )
+    steps = sum(r.newton_iterations for r in rem.rungs)
+    assert steps >= 1
+    owner = {"energy": "energy", "gradient": "gradient", "stiffness": "hessian"}
+    assert work and all(ctx == owner[what] for what, ctx in work)
+    assert entered.count("gradient") == steps + len(rem.rungs)
+    assert entered.count("hessian") == steps
+    assert entered.count("energy") >= steps + len(rem.rungs)
