@@ -87,7 +87,7 @@ def _base_report(cfg):
         "gamma": cfg.gamma,
         "kappa1": cfg.kappa1,
         "kappa2": cfg.kappa2,
-        "far_field": cfg.far_field,
+        "far_field": "gauge",
     }
 
 
@@ -126,7 +126,6 @@ def _run_solve(cfg, outdir, quiet):
         bg,
         mesh,
         schedule=cfg.eps_schedule,
-        far_field=cfg.far_field,
         newton_tol=cfg.tolerances.newton_tol,
     )
     sol = rem.solution
@@ -198,7 +197,6 @@ def _run_sweep(cfg, outdir, quiet):
         cfg.section("grid"),
         _mesh(cfg),
         schedule=cfg.eps_schedule,
-        far_field=cfg.far_field,
         newton_tol=cfg.tolerances.newton_tol,
     )
     _write_csv(outdir / "sweep.csv", _SWEEP_COLUMNS, map(astuple, res.rows))
@@ -229,7 +227,6 @@ def _run_critical(cfg, outdir, quiet):
         n_grid=search.n_grid,
         tol=cfg.tolerances.critical_tol,
         schedule=cfg.eps_schedule,
-        far_field=cfg.far_field,
         newton_tol=cfg.tolerances.newton_tol,
     )
     report = _base_report(cfg)
@@ -265,7 +262,6 @@ def _run_limit(cfg, outdir, quiet):
         mesh,
         annulus=ladder.annulus,
         schedule=cfg.eps_schedule,
-        far_field=cfg.far_field,
         newton_tol=cfg.tolerances.newton_tol,
     )
     rungs = [asdict(r) for r in study.rungs]

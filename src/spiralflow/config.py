@@ -119,7 +119,6 @@ class RunConfig:
     body: BodySpec
     mesh: MeshSpec
     eps_schedule: tuple | None = None
-    far_field: str = "gauge"
     tolerances: Tolerances = dc_field(default_factory=Tolerances)
     axis: str = "kappa2"
     grid: tuple | None = None  # the swept parameter values
@@ -239,8 +238,8 @@ def parse_config(raw: bytes) -> RunConfig:
         eps_schedule = checked_schedule(_numbers(doc, "eps_schedule", ""), "eps_schedule")
 
     far_field = doc.get("far_field", "gauge")
-    if far_field not in ("gauge", "zero"):
-        raise ConfigError("far_field", f"unknown far-field policy {far_field!r}")
+    if far_field != "gauge":
+        raise ConfigError("far_field", f"the only far-field law is 'gauge', got {far_field!r}")
 
     axis = doc.get("axis", "kappa2")
     if axis not in ("kappa1", "kappa2"):
@@ -275,7 +274,6 @@ def parse_config(raw: bytes) -> RunConfig:
         body=body_spec,
         mesh=mesh_spec,
         eps_schedule=eps_schedule,
-        far_field=far_field,
         tolerances=tolerances,
         axis=axis,
         grid=grid,

@@ -127,7 +127,6 @@ def solve_with_truncation_removal(
     background,
     mesh,
     schedule=None,
-    far_field="gauge",
     newton_tol=NEWTON_TOL,
     initial=None,
 ):
@@ -144,13 +143,8 @@ def solve_with_truncation_removal(
     False.
     """
     sched = checked_schedule(schedule)
-    problem = FlowProblem(
-        _gas(background.gamma, sched[0]),
-        background,
-        mesh,
-        far_field=far_field,
-        newton_tol=newton_tol,
-    )
+    gas = _gas(background.gamma, sched[0])
+    problem = FlowProblem(gas, background, mesh, newton_tol=newton_tol)
     rungs = []
     sol = None
     guess = initial
@@ -238,7 +232,7 @@ def _kappa_pair(kappa1, kappa2, axis, value):
     return float(kappa1), float(value)
 
 
-def _removal_step(gamma, kappa1, kappa2, axis, mesh, schedule, far_field, newton_tol):
+def _removal_step(gamma, kappa1, kappa2, axis, mesh, schedule, newton_tol):
     """The certified removal solve as a function of the axis value.
 
     The returned step(value, initial=None) sets the axis parameter to
@@ -256,7 +250,6 @@ def _removal_step(gamma, kappa1, kappa2, axis, mesh, schedule, far_field, newton
             background,
             mesh,
             schedule=sched,
-            far_field=far_field,
             newton_tol=newton_tol,
             initial=initial,
         )
@@ -272,7 +265,6 @@ def parameter_sweep(
     values,
     mesh,
     schedule=None,
-    far_field="gauge",
     newton_tol=NEWTON_TOL,
 ):
     """March one swirl parameter across a value list, warm-starting.
@@ -282,7 +274,7 @@ def parameter_sweep(
     continues from a cold start.
     """
     axis = SweepAxis(axis)
-    step = _removal_step(gamma, kappa1, kappa2, axis, mesh, schedule, far_field, newton_tol)
+    step = _removal_step(gamma, kappa1, kappa2, axis, mesh, schedule, newton_tol)
     result = SweepResult(axis=axis)
     guess = None
     for v in values:
@@ -343,7 +335,6 @@ def find_critical_parameter(
     n_grid=9,
     tol=0.01,
     schedule=None,
-    far_field="gauge",
     newton_tol=NEWTON_TOL,
 ):
     """Bisect for the parameter where truncation removal first fails.
@@ -356,7 +347,7 @@ def find_critical_parameter(
     admissible ceiling before giving up.  Bisection then narrows the
     leading true/false pair to the requested width.
     """
-    step = _removal_step(gamma, kappa1, kappa2, axis, mesh, schedule, far_field, newton_tol)
+    step = _removal_step(gamma, kappa1, kappa2, axis, mesh, schedule, newton_tol)
     check_search(lo, hi, n_grid)
     check_bracket_tol(tol)
 
@@ -459,7 +450,6 @@ def sonic_limit_study(
     mesh,
     annulus=(1.5, 4.0),
     schedule=None,
-    far_field="gauge",
     newton_tol=NEWTON_TOL,
 ):
     """Climb half the remaining gap toward hi at every ladder rung.
@@ -472,7 +462,7 @@ def sonic_limit_study(
     record of how the flow settles as the parameter closes in on
     choking.
     """
-    step = _removal_step(gamma, kappa1, kappa2, axis, mesh, schedule, far_field, newton_tol)
+    step = _removal_step(gamma, kappa1, kappa2, axis, mesh, schedule, newton_tol)
     check_ladder(lo, hi, n_seq, annulus)
     r_in, r_out = float(annulus[0]), float(annulus[1])
     probe = checked_probe(mesh, annulus)

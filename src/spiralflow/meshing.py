@@ -19,8 +19,8 @@ bit-for-bit reproducible.
 A mesh finds its largest rotation symmetry from its geometry on first
 use (detect_rotation), whatever its numbering: a circle's grid is
 invariant under a turn by one column, a k-fold rippled body's grid when
-k divides the column count.  Its orbit reduction then has one unknown
-per node orbit and works on a Sector of one triangle per triangle orbit,
+k divides the column count.  Its reduction then has one unknown per
+node orbit and works on a Sector of one triangle per triangle orbit,
 weighted by the orbit size.
 """
 
@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DomainError, InternalConsistencyError, MeshQualityError
+from .errors import DomainError, InternalConsistencyError, MeshQualityError
 
 
 def check_finite(contrib, what):
@@ -101,23 +101,23 @@ class PerturbedCircle:
 
 @dataclass(eq=False)
 class Reduction:
-    """Unknowns of one far-field policy and its reduced P1 matrix pattern.
+    """The unknowns a solve runs on and the reduced P1 matrix pattern.
 
-    restriction maps the unknowns to nodes.  Every reduced matrix shares
-    the Laplacian's CSC pattern; slots sends each entry of the flattened
-    (n_tri, 3, 3) local matrices of the reduction's triangles to its data
-    slot, or to the spare slot nnz when a corner carries no unknown.
+    Every interior node is free and the outer ring floats on one shared
+    unknown, the gauge, which is last.  restriction maps the unknowns to
+    nodes.  Every reduced matrix shares the Laplacian's CSC pattern;
+    slots sends each entry of the flattened (n_tri, 3, 3) local matrices
+    of the reduction's triangles to its data slot, or to the spare slot
+    nnz when a corner carries no unknown.
 
     The triangles are the mesh's own unless sector is set: then each
     unknown stands for a whole rotation orbit of nodes (multiplicity[i]
     full unknowns) and the triangles are the sector's.
     """
 
-    interior_nodes: np.ndarray
     restriction: sp.csr_matrix
     slots: np.ndarray  # int32, (9 n_tri,)
     laplacian: sp.csc_matrix  # restriction^T K restriction
-    test_norms: np.ndarray  # H1-seminorm of each reduced hat function
     sector: "Sector | None" = None
     multiplicity: np.ndarray | None = None
     _factor: object = field(default=None, init=False, repr=False)
@@ -170,11 +170,6 @@ def _pattern(corner_dofs, n):
     return slots, indices, indptr
 
 
-def _check_far_field(far_field):
-    if far_field not in ("gauge", "zero"):
-        raise ConfigError("far_field", f"unknown far-field policy {far_field!r}")
-
-
 def _shape_gradients(p, areas):
     """P1 shape-function gradients of triangles with corners p, (n, 3, 2)."""
     out = np.empty((p.shape[0], 3, 2))
@@ -211,7 +206,6 @@ class TriangleMesh:
         self.body_theta = body_theta
         self.n_rings = n_rings
         self.n_cols = n_cols
-        self._reductions = {}
 
     @property
     def n_points(self):
@@ -250,54 +244,48 @@ class TriangleMesh:
         check_finite(k_loc, "stiffness")
         return k_loc
 
-    def reduction(self, far_field):
-        """Free-node numbering and reduced Laplacian, built once per policy.
+    @cached_property
+    def interior(self):
+        """Nodes on neither boundary ring, ascending."""
+        free = np.ones(self.n_points, dtype=bool)
+        free[self.body_nodes] = free[self.outer_nodes] = False
+        return np.nonzero(free)[0]
 
-        far_field "zero" pins the outer ring to zero; "gauge" lets it
-        float on one shared unknown.
-        """
-        _check_far_field(far_field)
-        if far_field not in self._reductions:
-            self._reductions[far_field] = self._reduce(far_field, None)
-        return self._reductions[far_field]
+    @cached_property
+    def hat_norms(self):
+        """H1 seminorm of every node's hat function, from the local stiffness diagonal."""
+        eye = np.broadcast_to(np.eye(2), (self.n_triangles, 2, 2))
+        diag = np.diagonal(self.local_stiffness(eye), axis1=1, axis2=2)
+        return np.sqrt(
+            np.bincount(self.triangles.ravel(), weights=diag.ravel(), minlength=self.n_points)
+        )
 
-    def orbit_reduction(self, far_field):
-        """The reduction a solve runs on, built once per policy.
+    @cached_property
+    def reduction(self):
+        """The Reduction every solve on this mesh runs on, built on first use.
 
         With a rotation symmetry of order k > 1 it has one unknown per
         node orbit (plus the gauge) and works on the rotation's sector;
-        with k = 1 it is reduction(far_field) itself.
+        with k = 1 it has one unknown per interior node (plus the gauge)
+        on the whole mesh.
         """
-        _check_far_field(far_field)
         rotation = self.rotation
-        if rotation.k == 1:
-            return self.reduction(far_field)
-        key = ("orbit", far_field)
-        if key not in self._reductions:
-            self._reductions[key] = self._reduce(far_field, rotation)
-        return self._reductions[key]
-
-    def _reduce(self, far_field, rotation):
-        """far_field's reduction on the whole mesh, or on rotation's orbits."""
         n = self.n_points
-        free = np.ones(n, dtype=bool)
-        free[self.body_nodes] = free[self.outer_nodes] = False
+        interior = self.interior
         dof = np.full(n, -1, dtype=np.int64)
-        if rotation is None:
-            cells, multiplicity = self, None
-            interior = np.nonzero(free)[0]
+        if rotation.k == 1:
+            cells, sector, multiplicity = self, None, None
             dof[interior] = np.arange(interior.size)
         else:
-            cells = rotation.sector(self)
+            cells = sector = rotation.sector(self)
             # one unknown per orbit, numbered by its smallest node
-            interior = np.nonzero(free & (rotation.node_orbits == np.arange(n)))[0]
+            interior = interior[rotation.node_orbits[interior] == interior]
             dof[interior] = np.arange(interior.size)
             dof = dof[rotation.node_orbits]
-            multiplicity = np.full(interior.size + (far_field == "gauge"), float(rotation.k))
-            multiplicity[interior.size :] = 1.0
-        if far_field == "gauge":
-            dof[self.outer_nodes] = interior.size
-        n_red = interior.size + (far_field == "gauge")
+            multiplicity = np.full(interior.size + 1, float(rotation.k))
+            multiplicity[-1] = 1.0
+        n_red = interior.size + 1
+        dof[self.outer_nodes] = n_red - 1
         nodes = np.nonzero(dof >= 0)[0]
         restriction = sp.csr_matrix(
             (np.ones(nodes.size), (nodes, dof[nodes])), shape=(n, n_red)
@@ -305,16 +293,7 @@ class TriangleMesh:
         slots, indices, indptr = _pattern(dof[cells.triangles], n_red)
         eye = np.broadcast_to(np.eye(2), (cells.triangles.shape[0], 2, 2))
         lap = _scatter(slots, cells.local_stiffness(eye), indices, indptr)
-        norms = np.sqrt(np.maximum(lap.diagonal(), 1e-300))
-        return Reduction(
-            interior,
-            restriction,
-            slots,
-            lap,
-            norms,
-            sector=None if rotation is None else cells,
-            multiplicity=multiplicity,
-        )
+        return Reduction(restriction, slots, lap, sector=sector, multiplicity=multiplicity)
 
     @cached_property
     def rotation(self):

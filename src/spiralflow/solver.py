@@ -15,11 +15,12 @@ iteration with backtracking converges globally.
 
 Boundary handling: on the body, u takes the (single-valued) negative of
 the background swirl stream, which makes the total stream function obey
-the porous-inflow condition; on the truncation circle either u = 0 is
-pinned ("zero") or all outer nodes share one floating constant ("gauge").
-The gauge variant lets the discrete far field pick its own additive
-constant and suppresses the spurious logarithmic mode a hard pin
-introduces at finite truncation radius.
+the porous-inflow condition; on the truncation circle all outer nodes
+share one floating constant, the gauge.  The discrete far field picks
+its own additive constant, as the flow tending to the uniform far state
+does; pinning u = 0 there would excite a spurious logarithmic mode at a
+finite truncation radius.  Each mesh builds one Reduction, the one its
+solves run on, and factors its Laplacian once.
 
 Energy, gradient and Hessian at one iterate share an IterateState, which
 evaluates each derivative of F there once; without one they build their own.
@@ -27,15 +28,16 @@ evaluates each derivative of F there once; without one they build their own.
 Rotation symmetry: the energy is strictly convex, so when the mesh and
 the radial background are invariant under rotation by 2 pi / k the
 minimizer is invariant too.  On such a mesh the problem solves on the
-mesh's orbit reduction: one unknown per node orbit (plus the gauge), and
+mesh's reduction: one unknown per node orbit (plus the gauge), and
 energy, gradient and Hessian summed over one triangle per orbit with area
 weight k.  The Newton stopping rule reads the gradient's norm in the full
 reduction, and s_max, q_max and the removal certificate come from the
 sector's final state; they are exact for that discrete problem, which
 differs from the full one only by the roundoff in the rotated
 coordinates.  full_vector and FlowSolution.u_full give u on every node,
-and the post-solve diagnostics run on the problem's whole-mesh view.
-With k = 1 the problem is its own whole view.
+and the post-solve diagnostics run on the problem's whole-mesh view,
+which sums over every triangle with the same unknowns.  With k = 1 the
+problem is its own whole view.
 """
 
 import copy
@@ -87,7 +89,6 @@ class FlowProblem:
         gas,
         background,
         mesh,
-        far_field="gauge",
         newton_tol=NEWTON_TOL,
         max_iterations=50,
     ):
@@ -95,26 +96,25 @@ class FlowProblem:
             raise ConfigError("newton_tol", "tolerance must be positive")
         if max_iterations < 1:
             raise ConfigError("max_iterations", "need at least one iteration")
-        reduction = mesh.orbit_reduction(far_field)
         self.background = background
         self.mesh = mesh
-        self.far_field = far_field
         self.newton_tol = float(newton_tol)
         self.max_iterations = int(max_iterations)
-        self._discretize(reduction)
+        self.reduction = mesh.reduction
+        self.restriction = self.reduction.restriction
+        self.n_reduced = self.restriction.shape[1]
+        sector = self.reduction.sector
+        self._sample(mesh if sector is None else sector)
         body = mesh.body_nodes
         self.dirichlet = np.zeros(mesh.n_points)
         self.dirichlet[body] = -background.swirl_stream(np.hypot(*mesh.points[body].T))
         self._bind_gas(gas)
 
-    def _discretize(self, reduction):
-        """Solve for reduction's unknowns on its triangles: the sector's, or
-        the whole mesh's; the background gradient is sampled there."""
-        self.reduction = reduction
-        self.restriction = reduction.restriction
-        self.n_reduced = self.restriction.shape[1]
-        self.cells = self.mesh if reduction.sector is None else reduction.sector
-        self.g0 = self.background.stream_gradient(self.cells.centroids)
+    def _sample(self, cells):
+        """Sum over cells, the sector's triangles or the whole mesh's, and
+        sample the background gradient at their centroids."""
+        self.cells = cells
+        self.g0 = self.background.stream_gradient(cells.centroids)
 
     def _bind_gas(self, gas):
         self.gas = gas
@@ -131,15 +131,18 @@ class FlowProblem:
     def whole(self):
         """This problem on every triangle of the mesh, for the diagnostics.
 
-        A problem that solves on a sector builds it on first use, with
-        the same gas, background and Dirichlet data; any other problem
-        is its own whole view.
+        A problem that solves on a sector builds it on first use: the
+        same unknowns, gas, background and Dirichlet data, with the
+        triangles and the background gradient of the whole mesh.  Its
+        energy and gradient equal the sector's for the same unknowns; its
+        Hessian is not defined, since the reduced pattern is the sector's.
+        It builds no Reduction.  Any other problem is its own whole view.
         """
         if self.cells is self.mesh:
             return self
         if "_whole" not in self.__dict__:
             whole = copy.copy(self)
-            whole._discretize(self.mesh.reduction(self.far_field))
+            whole._sample(self.mesh)
             whole._bind_gas(self.gas)
             self._whole = whole
         return self._whole
@@ -307,8 +310,8 @@ def solve(problem, initial=None):
     CG_MAX_ITERATIONS iterations, or raises.  The ellipticity bounds
     lam <= H / 2K <= Lam make the iteration count independent of the
     mesh.  The Laplacian's SuperLU factor is built on the first step
-    and then shared by every solve on the same mesh and far-field
-    policy; a solve that takes no step builds none.
+    and then shared by every solve on the same mesh; a solve that takes
+    no step builds none.
     """
     u = np.zeros(problem.n_reduced) if initial is None else np.asarray(initial, float).copy()
     if u.shape != (problem.n_reduced,):
@@ -435,20 +438,18 @@ def weak_residuals(sol, include_background=False):
     """
     pr = sol.problem.whole
     mesh = pr.mesh
-    red = pr.reduction
-    ni = red.interior_nodes.size
+    interior = mesh.interior
+    norms = mesh.hat_norms[interior]
     st = IterateState.of_field(pr, sol.u_full)
     g_irr = pr.gradient_full(st, include_background_correction=not include_background)
-    irr = (pr.restriction.T @ g_irr)[:ni]
-    irrot = float(np.max(np.abs(irr) / (2.0 * red.test_norms[:ni])))
+    irrot = float(np.max(np.abs(g_irr[interior]) / (2.0 * norms)))
 
     flow = _rot(st.w if include_background else st.du)
     contrib = mesh.areas[:, None] * np.einsum("ta,tia->ti", flow, mesh.shape_gradients)
     m_full = np.bincount(
         mesh.triangles.ravel(), weights=contrib.ravel(), minlength=mesh.n_points
     )
-    m = (pr.restriction.T @ m_full)[:ni]
-    mass = float(np.max(np.abs(m) / red.test_norms[:ni]))
+    mass = float(np.max(np.abs(m_full[interior]) / norms))
     return irrot, mass
 
 

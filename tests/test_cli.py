@@ -209,6 +209,7 @@ class TestExitCodes:
             ("limit", {"ladder": {"annulus": [3.0, 1.5]}}, "ladder.annulus"),
             ("limit", {"ladder": {"n_seq": 1}}, "ladder.n_seq"),
             ("limit", {"ladder": {"lo": 0.9, "hi": 0.5}}, "ladder.hi"),
+            ("solve", {"far_field": "zero"}, "far_field"),
         ],
     )
     def test_range_rules_name_field_path(

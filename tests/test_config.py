@@ -32,7 +32,7 @@ class TestParsing:
         assert cfg.gamma == 2.0
         assert cfg.body.kind == "circle"
         assert cfg.mesh.h == 0.25
-        assert cfg.far_field == "gauge"
+        assert not hasattr(cfg, "far_field")
         assert cfg.axis == "kappa2"
         assert cfg.eps_schedule is None
         assert cfg.tolerances.newton_tol == 1e-9
@@ -43,7 +43,7 @@ class TestParsing:
         cfg = _parse(
             body={"kind": "perturbed_circle", "a": 1.2, "b": 0.1, "k": 3},
             eps_schedule=[0.2, 0.1],
-            far_field="zero",
+            far_field="gauge",
             axis="kappa1",
             tolerances={"newton_tol": 1e-8, "critical_tol": 0.02},
             grid={"start": 0.1, "stop": 0.5, "num": 5},
@@ -51,7 +51,6 @@ class TestParsing:
         )
         assert cfg.body.b == 0.1 and cfg.body.k == 3
         assert cfg.eps_schedule == (0.2, 0.1)
-        assert cfg.far_field == "zero"
         assert cfg.axis == "kappa1"
         assert cfg.tolerances.critical_tol == 0.02
         assert cfg.output_dir == "artifacts"
@@ -87,6 +86,7 @@ class TestValidation:
             ({"tolerances": {"newton_tol": 0.0}}, "tolerances.newton_tol"),
             ({"tolerances": {"critical_tol": 1e-4}}, "tolerances.critical_tol"),
             ({"output_dir": 7}, "output_dir"),
+            ({"far_field": "zero"}, "far_field"),
         ],
     )
     def test_field_paths(self, overrides, path):

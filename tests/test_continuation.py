@@ -91,7 +91,7 @@ class TestRemoval:
                 assert getattr(p, name) is getattr(first, name)
         # the circle mesh is rotation invariant: the rungs solve on its
         # orbit reduction, and the background is sampled on the sector
-        orbits = circle_mesh.orbit_reduction("gauge")
+        orbits = circle_mesh.reduction
         assert circle_mesh.rotation.k == circle_mesh.n_cols
         assert first.restriction is orbits.restriction
         assert first.cells is orbits.sector

@@ -107,7 +107,7 @@ class TestDetection:
         mesh = build_annulus_mesh(body, 16.0, h)
         assert mesh.n_cols == n_cols
         assert mesh.rotation.k == 1
-        assert mesh.orbit_reduction("gauge") is mesh.reduction("gauge")
+        assert mesh.reduction.sector is None and mesh.reduction.multiplicity is None
 
     def test_flipped_diagonal_breaks_rotation(self):
         # the points stay invariant, one quad's triangles do not
@@ -134,7 +134,7 @@ class TestDetection:
         assert mesh.rotation is mesh.rotation
         assert calls == [mesh]
 
-    def test_orbit_reduction_is_the_restricted_laplacian(self):
+    def test_orbit_reduction_is_the_restricted_laplacian(self, monkeypatch):
         # restriction^T K restriction over the whole mesh, from one
         # triangle per orbit weighted by k
         mesh = _renumbered(build_annulus_mesh(WAVY, 16.0, 0.21), 3)
@@ -145,12 +145,23 @@ class TestDetection:
         nodal = sp.coo_matrix(
             (mesh.local_stiffness(eye).ravel(), (rows, cols)), shape=(mesh.n_points,) * 2
         ).tocsr()
-        for far_field in ("gauge", "zero"):
-            red = mesh.orbit_reduction(far_field)
-            assert red.sector.triangles.shape[0] * k == mesh.n_triangles
-            expect = (red.restriction.T @ nodal @ red.restriction).toarray()
-            err = np.max(np.abs(red.laplacian.toarray() - expect))
-            assert err <= 1e-13 * np.max(np.abs(expect))
+        red = mesh.reduction
+        assert red.sector.triangles.shape[0] * k == mesh.n_triangles
+        expect = (red.restriction.T @ nodal @ red.restriction).toarray()
+        err = np.max(np.abs(red.laplacian.toarray() - expect))
+        assert err <= 1e-13 * np.max(np.abs(expect))
+        # the hat norms are the nodal Laplacian's diagonal; scipy sums the
+        # duplicate entries in another order, so they agree to roundoff
+        # with its assembly, and bit for bit with the whole-mesh
+        # reduction's, which adds in triangle order like hat_norms
+        diag = np.sqrt(nodal.diagonal())
+        assert np.max(np.abs(mesh.hat_norms - diag) / diag) <= 1e-15
+        monkeypatch.setattr(meshing, "detect_rotation", _no_rotation)
+        full = TriangleMesh(mesh.points, mesh.triangles, mesh.body_nodes, mesh.outer_nodes)
+        interior = full.interior
+        lap_diag = full.reduction.laplacian.diagonal()[: interior.size]
+        assert np.array_equal(full.hat_norms[interior], np.sqrt(lap_diag))
+        assert np.array_equal(full.hat_norms, mesh.hat_norms)
 
 
 class TestSectorSolve:
@@ -247,18 +258,48 @@ class TestWholeView:
         mesh = build_annulus_mesh(WAVY, 16.0, 0.21)
         gas = GasModel(2.0, 0.1)
         pr = sv.FlowProblem(gas, RadialBackground(gas, 0.3, 0.2), mesh)
-        assert pr.cells is mesh.orbit_reduction("gauge").sector
+        assert pr.cells is mesh.reduction.sector
         assert pr.g0.shape == (mesh.n_triangles // 3, 2)
         whole = pr.whole
         assert whole is pr.whole
         assert whole.cells is mesh and whole.whole is whole
-        assert whole.reduction is mesh.reduction("gauge")
+        assert whole.reduction is pr.reduction
+        assert whole.restriction is pr.restriction
         assert whole.g0.shape == (mesh.n_triangles, 2)
         for name in ("gas", "background", "dirichlet", "mesh"):
             assert getattr(whole, name) is getattr(pr, name)
         other = pr.with_gas(GasModel(2.0, 0.05))
         assert other.whole is not whole
         assert other.whole.gas is other.gas
+
+    def test_one_reduction_per_mesh(self, monkeypatch):
+        # the whole view reuses the solve's unknowns and builds none
+        built = []
+        real = meshing.Reduction
+
+        def counting(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(meshing, "Reduction", counting)
+        mesh = build_annulus_mesh(WAVY, 16.0, 0.21)
+        rem = ct.solve_with_truncation_removal(RadialBackground(GasModel(2.0, 0.1), 0.3, 0.2), mesh)
+        sol = rem.solution
+        sv.recover_fields(sol)
+        sv.weak_residuals(sol)
+        assert mesh.rotation.k == 3
+        assert sol.problem.whole is not sol.problem
+        assert built == [mesh.reduction]
+
+    def test_whole_view_energy_and_gradient(self):
+        # the same unknowns summed over every triangle instead of one per orbit
+        mesh = build_annulus_mesh(WAVY, 16.0, 0.21)
+        gas = GasModel(2.0, 0.05)
+        pr = sv.FlowProblem(gas, RadialBackground(gas, 0.3, 0.2), mesh)
+        u = 0.05 * np.random.default_rng(6).standard_normal(pr.n_reduced)
+        assert _rel(pr.whole.energy(u), pr.energy(u)) <= 1e-13
+        g, g_whole = pr.gradient(u), pr.whole.gradient(u)
+        assert np.max(np.abs(g_whole - g)) <= 1e-13 * np.max(np.abs(g))
 
 
 def test_no_spatial_index_imported():

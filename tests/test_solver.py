@@ -58,18 +58,9 @@ class TestCircleAnchor:
         # total gradient stays exactly radial
         bg = RadialBackground(gas, 0.3, 0.2)
         mesh = build_annulus_mesh(Circle(1.3), 20.0, 0.25)
-        sol = sv.solve(sv.FlowProblem(gas, bg, mesh, far_field="gauge", newton_tol=1e-13))
+        sol = sv.solve(sv.FlowProblem(gas, bg, mesh, newton_tol=1e-13))
         du = np.linalg.norm(sol.problem.u_gradients(sol.u_full), axis=-1)
         assert np.max(du) <= 1e-10
-
-    def test_larger_circle_zero_policy_not_radial(self, gas):
-        # pinning u = 0 on the outer ring fights the constant body data
-        # and excites the spurious log mode
-        bg = RadialBackground(gas, 0.3, 0.2)
-        mesh = build_annulus_mesh(Circle(1.3), 20.0, 0.25)
-        sol = sv.solve(sv.FlowProblem(gas, bg, mesh, far_field="zero"))
-        du = np.linalg.norm(sol.problem.u_gradients(sol.u_full), axis=-1)
-        assert np.max(du) > 1e-4
 
     def test_wavy_body_needs_iterations(self, wavy_solution):
         assert wavy_solution.newton_iterations >= 1
@@ -109,7 +100,7 @@ class TestDerivatives:
         # uniform ellipticity of the truncated flux law transfers verbatim
         # to the assembled matrices: 2*lam*K <= H <= 2*Lam*K in quadratic form
         rng = np.random.default_rng(9)
-        K = wavy_problem.mesh.reduction(wavy_problem.far_field).laplacian
+        K = wavy_problem.mesh.reduction.laplacian
         bounds = wavy_problem.gas.ellipticity_bounds()
         for _ in range(10):
             u = 0.1 * rng.standard_normal(wavy_problem.n_reduced)
@@ -176,7 +167,7 @@ class TestLinearSolve:
         assert all(n >= 1 for n in wavy_solution.linear_iterations)
         assert sv.solve(circle_problem).linear_iterations == []
 
-    def test_one_factor_per_mesh_and_policy(self, splu_calls):
+    def test_one_factor_per_mesh(self, splu_calls):
         mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, 3), 16.0, 0.3)
         bg = RadialBackground(GasModel(2.0, 0.1), 0.6, 0.7)
         rem = ct.solve_with_truncation_removal(bg, mesh)
@@ -184,7 +175,8 @@ class TestLinearSolve:
         bg2 = RadialBackground(GasModel(2.0, 0.1), 0.6, 0.5)
         ct.solve_with_truncation_removal(bg2, mesh)
         assert len(splu_calls) == 1
-        ct.solve_with_truncation_removal(bg2, mesh, far_field="zero")
+        other = build_annulus_mesh(PerturbedCircle(1.2, 0.1, 3), 16.0, 0.25)
+        ct.solve_with_truncation_removal(bg2, other)
         assert len(splu_calls) == 2
 
     def test_zero_step_solve_builds_no_factor(self, gas, splu_calls):
@@ -397,7 +389,8 @@ class TestDiagnostics:
 
 class TestValidation:
     def test_bad_far_field(self, gas, wavy_problem):
-        with pytest.raises(ConfigError, match="far_field"):
+        # the outer ring always floats on the gauge; there is no policy to pick
+        with pytest.raises(TypeError, match="far_field"):
             sv.FlowProblem(gas, wavy_problem.background, wavy_problem.mesh, far_field="open")
 
     def test_bad_initial_size(self, wavy_problem):

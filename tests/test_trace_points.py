@@ -7,10 +7,14 @@ metric (gas.flux_eval_s, solver.energy_evals, solver.backtracks) rather
 than fail.  These checks make such a change fail here instead.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from spiralflow import cli, config, radial, vtkio
 from spiralflow import continuation as ct
 from spiralflow import gas, meshing
 from spiralflow import solver as sv
@@ -40,6 +44,42 @@ def test_solver_module_globals():
     assert ct.solve is sv.solve  # the removal reaches it through this alias
     # SuperLU is reached as solver.spla.splu, which the tracer counts
     assert sv.spla is scipy.sparse.linalg
+
+
+def _bench_tracer():
+    """bench/tracer.py as the benchmark runs it, loaded from this checkout."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_installs_and_restores():
+    """install() looks up every name it wraps without a default, so a
+    deleted name (meshing.mesh_quality_report is one that only the tests
+    and the tracer use) fails the traced benchmark; uninstall() puts back
+    every attribute it replaced."""
+    owners = (cli, config, ct, gas, meshing, radial, sv, vtkio)
+    owners += (gas.GasModel, radial.RadialBackground, sv.FlowProblem)
+    before = [(owner, dict(vars(owner))) for owner in owners]
+    tracer = _bench_tracer().Tracer()
+    tracer.install()
+    try:
+        patched = [(owner, attr) for owner, attr, _ in tracer._undo]
+        mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, 3), 16.0, 0.3)
+        bg = RadialBackground(gas.GasModel(2.0, 0.1), 0.3, 0.2)
+        rem = ct.solve_with_truncation_removal(bg, mesh, schedule=(0.21, 0.11))
+    finally:
+        tracer.uninstall()
+    assert rem.rungs
+    assert (meshing, "mesh_quality_report") in patched and (sv, "spla") in patched
+    names = {span.name for span in tracer.spans}
+    assert {"solver.solve", "solver.gradient", "gas.flux_eval"} <= names
+    for owner, attrs in before:
+        now = vars(owner)
+        assert set(now) == set(attrs), owner
+        assert all(now[name] is value for name, value in attrs.items()), owner
 
 
 def test_flux_law_work_goes_through_flux_eval(monkeypatch):
@@ -112,7 +152,7 @@ def test_newton_work_goes_through_traced_methods(monkeypatch, h, k):
     the tracer wraps: one gradient per iterate and one Hessian per step."""
     mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, 3), 16.0, h)
     assert mesh.rotation.k == k
-    mesh.orbit_reduction("gauge")  # the Laplacian is built before watching
+    mesh.reduction  # the Laplacian is built before watching
     entered, context, work = [], [], []
 
     def entering(name, real):
