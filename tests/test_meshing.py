@@ -164,6 +164,17 @@ class TestAssembly:
             assert got.has_canonical_format
             assert np.max(np.abs(got.toarray() - expect)) <= 1e-14 * np.max(np.abs(expect))
 
+    @pytest.mark.parametrize("name", ["circle_mesh", "wavy_mesh"])
+    def test_hat_norms_bit_identical_to_stiffness_diagonal(self, name, request):
+        # the weak residuals in report.json divide by these norms
+        mesh = request.getfixturevalue(name)
+        eye = np.broadcast_to(np.eye(2), (mesh.n_triangles, 2, 2))
+        diag = np.diagonal(mesh.local_stiffness(eye), axis1=1, axis2=2)
+        expect = np.sqrt(
+            np.bincount(mesh.triangles.ravel(), weights=diag.ravel(), minlength=mesh.n_points)
+        )
+        assert np.array_equal(mesh.hat_norms, expect)
+
 
 class TestQualityReport:
     def test_equilateral_triangle(self):

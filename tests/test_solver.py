@@ -197,7 +197,10 @@ class TestLinearSolve:
                 assert max(sol.linear_iterations) <= 20, (h, eps, sol.linear_iterations)
 
     def test_cg_failure_carries_record(self, monkeypatch, wavy_problem):
+        tolerances = []
+
         def stalled(A, b, **kwargs):
+            tolerances.append(kwargs["rtol"])
             return np.zeros_like(b), kwargs["maxiter"]
 
         monkeypatch.setattr(sv.spla, "cg", stalled)
@@ -206,6 +209,68 @@ class TestLinearSolve:
         u = info.value.iterate
         assert np.array_equal(u, np.zeros(wavy_problem.n_reduced))
         assert info.value.history == [np.linalg.norm(wavy_problem.gradient(u))]
+        # a cold first step runs at the forcing term's cap, and the message names it
+        assert tolerances == [0.01]
+        assert "rtol 0.01 in" in str(info.value)
+
+
+class TestForcingTerm:
+    """Inexact Newton: each CG step is solved only as tightly as Newton needs."""
+
+    @pytest.fixture(scope="class")
+    def wavy_mesh(self):
+        return build_annulus_mesh(PerturbedCircle(1.2, 0.1, 3), 16.0, 0.1)
+
+    @staticmethod
+    def fixed_rtol(monkeypatch, run):
+        """run() with every step solved to the floor CG_RTOL, the tight solve."""
+        with monkeypatch.context() as m:
+            m.setattr(sv, "_forcing_term", lambda gnorm, prev_gnorm: sv.CG_RTOL)
+            return run()
+
+    def test_first_step_is_capped_by_the_gradient_norm(self):
+        assert sv._forcing_term(3.0, None) == 0.01
+        assert sv._forcing_term(0.002, None) == 0.002
+        assert sv._forcing_term(1e-13, None) == sv.CG_RTOL
+
+    def test_ratio_term_after_the_first_step(self):
+        assert sv._forcing_term(0.005, 1.0) == pytest.approx(0.9 * 0.005**2)
+        assert sv._forcing_term(0.005, 0.006) == 0.005  # slow decrease: gnorm caps
+        assert sv._forcing_term(0.005, 0.5) == pytest.approx(0.9 * 0.01**2)
+
+    def test_clamped_to_floor_and_cap(self):
+        norms = np.logspace(-16, 3, 39)
+        for gnorm in norms:
+            for prev in (None, *norms):
+                assert sv.CG_RTOL <= sv._forcing_term(gnorm, prev) <= 0.01
+
+    # (0.8, 0.2) has the truncation active, |g| = 2.8 at u = 0, and one CG
+    # iteration reaching 0.03: a cap of 0.1 would take that loose first step
+    # and cost a fifth Newton step
+    @pytest.mark.parametrize("kappa2, eps", [(0.2, 0.1), (0.8, 0.2)])
+    def test_cold_solve_matches_the_tight_solve(self, monkeypatch, wavy_mesh, kappa2, eps):
+        gas = GasModel(2.0, eps)
+        problem = sv.FlowProblem(gas, RadialBackground(gas, 0.3, kappa2), wavy_mesh)
+        sol = sv.solve(problem)
+        tight = self.fixed_rtol(monkeypatch, lambda: sv.solve(problem))
+        assert sol.newton_iterations == tight.newton_iterations >= 1
+        assert 2 * sum(sol.linear_iterations) <= sum(tight.linear_iterations)
+        diff = np.max(np.abs(sol.u_full - tight.u_full))
+        assert diff <= 1e-9 * np.max(np.abs(tight.u_full))
+
+    @pytest.mark.parametrize("h", [0.1, 0.3])
+    def test_warm_rungs_take_no_extra_newton_steps(self, monkeypatch, h):
+        # each rung starts from the previous rung's minimizer, so its first
+        # gradient is small; the gnorm cap keeps that first step tight
+        # (without it the last rung at h = 0.3 takes 3 steps, not 2)
+        mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, 3), 16.0, h)
+        bg = RadialBackground(GasModel(2.0, 0.1), 0.6, 0.7)
+        rem = ct.solve_with_truncation_removal(bg, mesh)
+        tight = self.fixed_rtol(monkeypatch, lambda: ct.solve_with_truncation_removal(bg, mesh))
+        assert len(rem.rungs) == len(tight.rungs) >= 2
+        steps = [r.newton_iterations for r in rem.rungs]
+        tight_steps = [r.newton_iterations for r in tight.rungs]
+        assert all(a <= b for a, b in zip(steps, tight_steps)), (steps, tight_steps)
 
 
 class TestInvariance:

@@ -58,8 +58,9 @@ def _bench_tracer():
 def test_bench_tracer_installs_and_restores():
     """install() looks up every name it wraps without a default, so a
     deleted name (meshing.mesh_quality_report is one that only the tests
-    and the tracer use) fails the traced benchmark; uninstall() puts back
-    every attribute it replaced."""
+    and the tracer use) fails the traced benchmark; the traced run takes
+    a Newton step, so SuperLU goes through the tracer's handle; uninstall()
+    puts back every attribute it replaced."""
     owners = (cli, config, ct, gas, meshing, radial, sv, vtkio)
     owners += (gas.GasModel, radial.RadialBackground, sv.FlowProblem)
     before = [(owner, dict(vars(owner))) for owner in owners]
@@ -72,10 +73,13 @@ def test_bench_tracer_installs_and_restores():
         rem = ct.solve_with_truncation_removal(bg, mesh, schedule=(0.21, 0.11))
     finally:
         tracer.uninstall()
-    assert rem.rungs
+    assert sum(rung.newton_iterations for rung in rem.rungs) >= 1
     assert (meshing, "mesh_quality_report") in patched and (sv, "spla") in patched
     names = {span.name for span in tracer.spans}
     assert {"solver.solve", "solver.gradient", "gas.flux_eval"} <= names
+    # the traced splu takes the matrix alone: a keyword added to the
+    # solver's spla.splu call would fail here, not only in the benchmark
+    assert {"solver.splu", "solver.lu_solve"} <= names
     for owner, attrs in before:
         now = vars(owner)
         assert set(now) == set(attrs), owner
