@@ -141,7 +141,7 @@ def _run_solve(cfg, outdir, quiet):
             "density": fields.density,
             "speed": fields.speed,
             "mach": fields.mach,
-            "mass_flux_sq": sol.mass_flux_sq,
+            "mass_flux_sq": sol.state.s,
             "velocity": fields.velocity,
         },
         title="spiral flow past a porous body",

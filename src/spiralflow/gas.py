@@ -75,39 +75,48 @@ def piecewise_chebval(breaks, x, *series):
     return out
 
 
-def _mass_flux_density_raw(gamma, s, max_iter=200):
-    """Subsonic-branch density for squared mass flux s, vectorized.
+def bracketed_root(resid, slope, lo, hi):
+    """Root of resid, increasing on each bracket [lo, hi], vectorized.
 
-    Solves s/(2 rho^2) + rho^(gamma-1)/(gamma-1) = (gamma+1)/(2(gamma-1))
-    on the bracket [1, rho_stagnation], where the residual is increasing.
-    Newton with bisection safeguard; iterates until the bracket width is
-    below 1e-13 because the root is ill-conditioned near s = 1 (the
-    residual derivative vanishes at the sonic point).
+    Newton from hi with a bisection safeguard, for exactly 90 iterations: a
+    fixed count, so that each point's root does not depend on the other
+    points solved in the same batch.  90 bisection halvings alone shrink
+    any bracket here below one ulp; Newton only accelerates that.  Returns
+    the midpoint of the final bracket; callers check the residual there.
     """
-    s = np.asarray(s, dtype=float)
-    const = 0.5 * (gamma + 1.0) / (gamma - 1.0)
-    rho_hi = stagnation_density(gamma)
-
-    def resid(rho):
-        return 0.5 * s / rho**2 + rho ** (gamma - 1.0) / (gamma - 1.0) - const
-
-    lo = np.ones_like(s)
-    hi = np.full_like(s, rho_hi)
     rho = hi.copy()
-    for _ in range(max_iter):
+    for _ in range(90):
         f = resid(rho)
         lo = np.where(f < 0.0, rho, lo)
         hi = np.where(f >= 0.0, rho, hi)
-        if np.max(hi - lo) <= 1e-13:
-            break
-        df = rho ** (gamma - 2.0) - s / rho**3
+        df = slope(rho)
         with np.errstate(divide="ignore", invalid="ignore"):
             cand = rho - f / df
         ok = (df > 0.0) & np.isfinite(cand) & (cand > lo) & (cand < hi)
         rho = np.where(ok, cand, 0.5 * (lo + hi))
-    else:
-        raise InternalConsistencyError("mass-flux density solve did not bracket down")
-    rho = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def _mass_flux_density_raw(gamma, s):
+    """Subsonic-branch density for squared mass flux s, vectorized.
+
+    Solves s/(2 rho^2) + rho^(gamma-1)/(gamma-1) = (gamma+1)/(2(gamma-1))
+    on the bracket [1, rho_stagnation], where the residual is increasing,
+    by bracketed_root; the root is ill-conditioned near s = 1 (the
+    residual derivative vanishes at the sonic point).
+    """
+    s = np.asarray(s, dtype=float)
+    const = 0.5 * (gamma + 1.0) / (gamma - 1.0)
+
+    def resid(rho):
+        return 0.5 * s / rho**2 + rho ** (gamma - 1.0) / (gamma - 1.0) - const
+
+    rho = bracketed_root(
+        resid,
+        lambda rho: rho ** (gamma - 2.0) - s / rho**3,
+        np.ones_like(s),
+        np.full_like(s, stagnation_density(gamma)),
+    )
     if np.max(np.abs(resid(rho))) > 1e-12:
         raise InternalConsistencyError("mass-flux density residual above 1e-12")
     return rho
@@ -288,16 +297,7 @@ class GasModel:
         der = _poly.polyder(c)
         t = np.linspace(0.0, 1.0, 513)
         if np.any(_poly.polyval(t, der) > 1e-12):
-            # extreme gamma can make the quintic overshoot; drop the
-            # curvature match and use a monotone cubic instead
-            c = np.zeros(4)
-            c[0], c[1] = y0, d0
-            rhs = np.array([y1 - c[0] - c[1], -c[1]])
-            mat = np.array([[1.0, 1.0], [2.0, 3.0]])
-            c[2:] = np.linalg.solve(mat, rhs)
-            der = _poly.polyder(c)
-            if np.any(_poly.polyval(t, der) > 1e-12):
-                raise InternalConsistencyError("blend polynomial is not decreasing")
+            raise InternalConsistencyError("blend polynomial is not decreasing")
         self._blend_coef = c
         self._blend_width = width
 

@@ -534,12 +534,16 @@ def mesh_quality_report(mesh):
     )
 
 
-def build_annulus_mesh(body, outer_radius, target_h, min_angle=20.0):
+#: smallest triangle angle, in degrees, that build_annulus_mesh accepts
+MIN_ANGLE_DEG = 20.0
+
+
+def build_annulus_mesh(body, outer_radius, target_h):
     """Mesh the region between the body boundary and the circle r = outer_radius.
 
     target_h sets the edge length near the body; spacing then grows in
     proportion to r.  Raises MeshQualityError if the warped grid falls
-    below the min_angle quality threshold (sharply perturbed bodies).
+    below the MIN_ANGLE_DEG quality threshold (sharply perturbed bodies).
     """
     if not target_h > 0.0:
         raise DomainError(f"target_h must be positive, got {target_h:g}")
@@ -584,9 +588,9 @@ def build_annulus_mesh(body, outer_radius, target_h, min_angle=20.0):
     if bad.size:
         raise MeshQualityError(f"degenerate triangle {bad[0]} in generated mesh")
     worst = mesh.min_angle_deg()
-    if worst < min_angle:
+    if worst < MIN_ANGLE_DEG:
         raise MeshQualityError(
             f"minimum triangle angle {worst:.2f} deg is below the "
-            f"{min_angle:g} deg quality threshold"
+            f"{MIN_ANGLE_DEG:g} deg quality threshold"
         )
     return mesh

@@ -36,7 +36,13 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .errors import DomainError, InternalConsistencyError, RegimeError
-from .gas import GasModel, density_from_speed, piecewise_chebval, stagnation_density
+from .gas import (
+    GasModel,
+    bracketed_root,
+    density_from_speed,
+    piecewise_chebval,
+    stagnation_density,
+)
 
 
 def mach_ode_rhs(gamma, r, m1sq, m2sq, msq=None):
@@ -156,21 +162,12 @@ class RadialBackground:
                 f"no admissible background density at r={bad.flat[0]:g}; "
                 "the radial mass flux chokes before that radius"
             )
-        hi = np.full_like(r, self.rho_inf)
-        rho = hi.copy()
-        # fixed iteration count so results do not depend on how calls are
-        # batched; 90 bisection halvings already shrink the bracket below
-        # one ulp, Newton only accelerates that
-        for _ in range(90):
-            f = resid(rho)
-            lo = np.where(f < 0.0, rho, lo)
-            hi = np.where(f >= 0.0, rho, hi)
-            df = rho ** (gamma - 2.0) - mdot**2 / (r**2 * rho**3)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cand = rho - f / df
-            ok = (df > 0.0) & np.isfinite(cand) & (cand > lo) & (cand < hi)
-            rho = np.where(ok, cand, 0.5 * (lo + hi))
-        rho = 0.5 * (lo + hi)
+        rho = bracketed_root(
+            resid,
+            lambda rho: rho ** (gamma - 2.0) - mdot**2 / (r**2 * rho**3),
+            lo,
+            np.full_like(r, self.rho_inf),
+        )
         if np.max(np.abs(resid(rho))) > 1e-12:
             raise InternalConsistencyError("background density residual above 1e-12")
         return float(rho[0]) if scalar else rho

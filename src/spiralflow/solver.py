@@ -24,6 +24,9 @@ solves run on, and factors its Laplacian once.
 
 Energy, gradient and Hessian at one iterate share an IterateState, which
 evaluates each derivative of F there once; without one they build their own.
+A solution has one state too, FlowSolution.state, on the whole mesh: every
+post-solve diagnostic reads it, so a solution's gradient and F' are each
+computed once however many diagnostics run.
 
 Newton is inexact: each step's CG solve stops at a forcing term, loose
 far from the minimizer and O(|g|) near it, floored at CG_RTOL
@@ -42,13 +45,14 @@ reduction, and s_max, q_max and the removal certificate come from the
 sector's final state; they are exact for that discrete problem, which
 differs from the full one only by the roundoff in the rotated
 coordinates.  full_vector and FlowSolution.u_full give u on every node,
-and the post-solve diagnostics run on the problem's whole-mesh view,
-which sums over every triangle with the same unknowns.  With k = 1 the
-problem is its own whole view.
+and FlowSolution.state is built on the problem's whole-mesh view, which
+sums over every triangle with the same unknowns.  With k = 1 the problem
+is its own whole view.
 """
 
 import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -58,6 +62,8 @@ from .meshing import check_finite
 
 #: default Newton stopping tolerance, relative to 1 + |I(u)|
 NEWTON_TOL = 1e-9
+#: Newton steps a solve may take before it raises
+NEWTON_MAX_ITERATIONS = 50
 
 #: floor of the forcing term: no Newton step is solved tighter than this
 #: residual relative to the gradient
@@ -95,25 +101,15 @@ class FlowProblem:
 
     The P1 operators are the mesh's; the background data are built here
     and shared with every problem made from this one by with_gas.  The
-    problem also carries the Newton settings solve() runs with.
+    problem also carries the Newton tolerance solve() runs with.
     """
 
-    def __init__(
-        self,
-        gas,
-        background,
-        mesh,
-        newton_tol=NEWTON_TOL,
-        max_iterations=50,
-    ):
+    def __init__(self, gas, background, mesh, newton_tol=NEWTON_TOL):
         if not (newton_tol > 0.0):
             raise ConfigError("newton_tol", "tolerance must be positive")
-        if max_iterations < 1:
-            raise ConfigError("max_iterations", "need at least one iteration")
         self.background = background
         self.mesh = mesh
         self.newton_tol = float(newton_tol)
-        self.max_iterations = int(max_iterations)
         self.reduction = mesh.reduction
         self.restriction = self.reduction.restriction
         self.n_reduced = self.restriction.shape[1]
@@ -218,7 +214,8 @@ class FlowProblem:
 
 
 class IterateState:
-    """What energy, gradient and hessian share at one reduced iterate of one problem.
+    """What energy, gradient and hessian share at one reduced iterate of one
+    problem, and what the post-solve diagnostics read at a solution.
 
     u_full, the correction gradient du, the total gradient w = du + g0 and
     s = |w|^2 per triangle; flux(*orders) evaluates each derivative of F at
@@ -227,19 +224,9 @@ class IterateState:
     """
 
     def __init__(self, problem, u_red):
-        self._at(problem, problem.full_vector(u_red))
-
-    @classmethod
-    def of_field(cls, problem, u_full):
-        """The state at a correction given on every node of the mesh."""
-        state = cls.__new__(cls)
-        state._at(problem, u_full)
-        return state
-
-    def _at(self, problem, u_full):
         self.gas = problem.gas
-        self.u_full = u_full
-        self.du = problem.u_gradients(u_full)
+        self.u_full = problem.full_vector(u_red)
+        self.du = problem.u_gradients(self.u_full)
         self.w = self.du + problem.g0
         self.s = np.sum(self.w**2, axis=-1)
         self._flux = {}
@@ -276,15 +263,12 @@ class FlowSolution:
     energy_history: list = field(default_factory=list)
     linear_iterations: list = field(default_factory=list)  # CG count per step
 
-    @property
-    def total_gradient(self):
-        """grad psi on every triangle of the mesh, (n_tri, 2)."""
-        whole = self.problem.whole
-        return whole.u_gradients(self.u_full) + whole.g0
-
-    @property
-    def mass_flux_sq(self):
-        return np.sum(self.total_gradient**2, axis=-1)
+    @cached_property
+    def state(self):
+        """The minimizer's IterateState on every triangle of the mesh, built
+        on first use; every post-solve diagnostic reads it: du, the total
+        gradient w = grad psi, s = |w|^2 and F' per triangle."""
+        return IterateState(self.problem.whole, self.u_reduced)
 
 
 def _forcing_term(gnorm, prev_gnorm):
@@ -326,11 +310,11 @@ def _newton_direction(problem, u, g, state=None, rtol=CG_RTOL):
 def solve(problem, initial=None):
     """Damped Newton minimization of the discrete energy.
 
-    Tolerance and iteration budget come from the problem: iteration
-    stops when the euclidean norm of the reduced gradient falls below
+    The tolerance comes from the problem: iteration stops when the
+    euclidean norm of the reduced gradient falls below
     problem.newton_tol * (1 + |I(u)|).  The convexity of the truncated
     energy makes the iteration globally convergent, so exhausting the
-    problem.max_iterations budget raises.
+    NEWTON_MAX_ITERATIONS budget raises.
 
     One IterateState serves each iterate: one flux evaluation gives F and
     F' to the energy and the gradient, and the Hessian adds F''.  Line
@@ -355,7 +339,7 @@ def solve(problem, initial=None):
     history = []
     energies = []
     linear = []
-    for it in range(problem.max_iterations + 1):
+    for it in range(NEWTON_MAX_ITERATIONS + 1):
         state.flux(0, 1)  # one evaluation serves the gradient and the energy
         g = problem.gradient(u, state)
         gnorm = problem.reduction.norm(g)
@@ -377,7 +361,7 @@ def solve(problem, initial=None):
                 energy_history=energies,
                 linear_iterations=linear,
             )
-        if it == problem.max_iterations:
+        if it == NEWTON_MAX_ITERATIONS:
             break
         state.keep_hessian_inputs()
         eta = _forcing_term(gnorm, history[-2] if it else None)
@@ -415,7 +399,7 @@ def solve(problem, initial=None):
         u = trial
     raise NonConvergenceError(
         f"Newton did not reach tol {problem.newton_tol:g} "
-        f"in {problem.max_iterations} iterations",
+        f"in {NEWTON_MAX_ITERATIONS} iterations",
         iterate=u,
         history=history,
     )
@@ -443,7 +427,7 @@ def recover_fields(sol):
     equal rho*q exactly; that identity is asserted here as an internal
     check before dividing out the density.
     """
-    st = IterateState.of_field(sol.problem.whole, sol.u_full)
+    st = sol.state
     flux = np.sqrt(st.s)
     rho = 1.0 / st.flux(1)[0]
     vel = _rot(st.w) / rho[:, None]
@@ -476,7 +460,7 @@ def weak_residuals(sol, include_background=False):
     mesh = pr.mesh
     interior = mesh.interior
     norms = mesh.hat_norms[interior]
-    st = IterateState.of_field(pr, sol.u_full)
+    st = sol.state
     g_irr = pr.gradient_full(st, include_background_correction=not include_background)
     irrot = float(np.max(np.abs(g_irr[interior]) / (2.0 * norms)))
 
@@ -497,12 +481,11 @@ def boundary_flux(sol):
     midpoint, so the rule is second order along the polygonal boundary.
     The continuum value is 2 pi rho0 kappa1 regardless of the body shape.
     """
-    pr = sol.problem.whole
-    mesh = pr.mesh
+    mesh = sol.problem.mesh
     a, b = mesh.points[mesh.body_edge_list().T]
     mid = _project_outside_unit_circle(0.5 * (a + b))
-    du = pr.u_gradients(sol.u_full)[mesh.body_edge_triangles]
-    rho_u = _rot(du + pr.background.stream_gradient(mid))
+    du = sol.state.du[mesh.body_edge_triangles]
+    rho_u = _rot(du + sol.problem.background.stream_gradient(mid))
     e = b - a
     return float(np.sum(rho_u[:, 0] * e[:, 1] - rho_u[:, 1] * e[:, 0]))
 
@@ -525,8 +508,7 @@ def decay_report(sol):
     below 1e-13; otherwise a rate is fitted from two rings or more, and
     slope is None when there are fewer.
     """
-    pr = sol.problem.whole
-    mesh = pr.mesh
+    mesh = sol.problem.mesh
     body_r = np.max(np.hypot(*mesh.points[mesh.body_nodes].T))
     outer_r = np.max(np.hypot(*mesh.points[mesh.outer_nodes].T))
     lo = 2.0 * body_r
@@ -537,7 +519,7 @@ def decay_report(sol):
     edges.append(hi)
     edges = np.array(edges)
     r_c = np.hypot(*mesh.centroids.T)
-    mag = np.linalg.norm(pr.u_gradients(sol.u_full), axis=-1)
+    mag = np.linalg.norm(sol.state.du, axis=-1)
     mids, maxima = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         sel = (r_c >= a) & (r_c < b)
@@ -562,12 +544,12 @@ def background_gradient_error(sol):
     radial flow solves the problem exactly) this measures pure
     interpolation error and decays like h.
     """
-    pr = sol.problem.whole
-    mesh = pr.mesh
+    mesh = sol.problem.mesh
     p = mesh.corners
     mids = _project_outside_unit_circle(0.5 * (p + np.roll(p, -1, axis=1)))
-    exact = pr.background.stream_gradient(mids.reshape(-1, 2)).reshape(mids.shape)
-    wh = sol.total_gradient[:, None, :]
+    background = sol.problem.background
+    exact = background.stream_gradient(mids.reshape(-1, 2)).reshape(mids.shape)
+    wh = sol.state.w[:, None, :]
     werr = np.sum((wh - exact) ** 2, axis=-1)
     wref = np.sum(exact**2, axis=-1)
     err = np.sum(mesh.areas / 3.0 * np.sum(werr, axis=-1))

@@ -104,6 +104,14 @@ class TestDensityFromMassFlux:
         resid = 0.5 * s / rho**2 + rho - 1.5
         assert np.max(np.abs(resid)) <= 1e-12
 
+    def test_each_point_as_if_solved_alone(self):
+        # a fixed iteration count: no point's density depends on the batch
+        gm = GasModel(2.0, 0.1)
+        s = np.linspace(0.0, 1.0, 2001)[::7]
+        rho = gm.density_from_mass_flux(s)
+        alone = np.array([gm.density_from_mass_flux(v) for v in s])
+        assert np.array_equal(rho, alone)
+
     def test_domain_errors(self):
         gm = GasModel(2.0, 0.1)
         with pytest.raises(DomainError):
@@ -161,7 +169,7 @@ class TestTruncatedDensity:
         )
 
         gm = GasModel(2.0, eps)
-        assert len(gm._blend_coef) == 6  # quintic branch taken
+        assert len(gm._blend_coef) == 6  # quintic
         w = gm._blend_width
         c = gm._blend_coef
         d1 = P.polyder(c)

@@ -405,12 +405,12 @@ class TestDiagnostics:
     def test_density_matches_root_solve_oracle(self, wavy_solution):
         # hot paths read 1/F' from the cache; the root solve is the oracle
         rho = sv.recover_fields(wavy_solution).density
-        exact = wavy_solution.problem.gas.truncated_density(wavy_solution.mass_flux_sq)
+        exact = wavy_solution.problem.gas.truncated_density(wavy_solution.state.s)
         assert np.max(np.abs(rho - exact) / exact) <= 1e-12
 
     def test_recover_fields_consistency(self, wavy_solution):
         fields = sv.recover_fields(wavy_solution)
-        w = wavy_solution.total_gradient
+        w = wavy_solution.state.w
         flux = np.linalg.norm(w, axis=-1)
         assert np.allclose(fields.density * fields.speed, flux, rtol=1e-12)
         assert np.allclose(
@@ -467,20 +467,13 @@ class TestValidation:
             sv.FlowProblem(
                 gas, wavy_problem.background, wavy_problem.mesh, newton_tol=-1.0
             )
-        with pytest.raises(ConfigError):
-            sv.FlowProblem(
-                gas, wavy_problem.background, wavy_problem.mesh, max_iterations=0
-            )
 
-    def test_iteration_budget_exhaustion(self, gas, wavy_problem):
-        with pytest.raises(NonConvergenceError):
+    def test_iteration_budget_exhaustion(self, monkeypatch, gas, wavy_problem):
+        monkeypatch.setattr(sv, "NEWTON_MAX_ITERATIONS", 1)
+        with pytest.raises(NonConvergenceError, match="in 1 iterations"):
             sv.solve(
                 sv.FlowProblem(
-                    gas,
-                    wavy_problem.background,
-                    wavy_problem.mesh,
-                    newton_tol=1e-16,
-                    max_iterations=1,
+                    gas, wavy_problem.background, wavy_problem.mesh, newton_tol=1e-16
                 )
             )
 
@@ -586,7 +579,46 @@ class TestIterateState:
         assert np.array_equal(h_kept.data, h_plain.data)
 
     def test_s_max_and_q_max_from_final_state(self, wavy_solution):
-        s = wavy_solution.mass_flux_sq
+        s = wavy_solution.state.s
         fields = sv.recover_fields(wavy_solution)
         assert wavy_solution.s_max == float(np.max(s))
         assert wavy_solution.q_max == float(np.max(fields.speed))
+
+
+class TestOneStatePerSolution:
+    """Every post-solve diagnostic reads the solution's one whole-mesh state."""
+
+    @pytest.mark.parametrize(
+        "body, outer, h, whole_binding",
+        [
+            (PerturbedCircle(1.2, 0.1, 3), 16.0, 0.3, 0),  # k = 1: its own whole view
+            (Circle(1.0), 20.0, 0.25, 1),  # k > 1: the whole view binds its gas once
+        ],
+    )
+    def test_one_gradient_and_one_fprime(self, monkeypatch, gas, body, outer, h, whole_binding):
+        mesh = build_annulus_mesh(body, outer, h)
+        assert (mesh.rotation.k > 1) == bool(whole_binding)
+        sol = sv.solve(sv.FlowProblem(gas, RadialBackground(gas, 0.3, 0.2), mesh))
+        gradients, flux_orders = [], []
+        real_gradients, real_flux = sv.FlowProblem.u_gradients, GasModel.flux_eval
+
+        def u_gradients(self, u_full):
+            gradients.append(self.cells is mesh)
+            return real_gradients(self, u_full)
+
+        def flux_eval(self, s, orders=(0, 1, 2)):
+            flux_orders.append(tuple(orders))
+            return real_flux(self, s, orders)
+
+        monkeypatch.setattr(sv.FlowProblem, "u_gradients", u_gradients)
+        monkeypatch.setattr(GasModel, "flux_eval", flux_eval)
+        sv.recover_fields(sol)
+        sv.weak_residuals(sol)
+        sv.weak_residuals(sol, include_background=True)
+        sv.boundary_flux(sol)
+        sv.decay_report(sol)
+        sv.background_gradient_error(sol)
+        assert sol.state.s.shape == (mesh.n_triangles,)
+        assert gradients == [True]
+        # the whole view's background binding asks for F and F' at g0
+        assert flux_orders == [(0, 1)] * whole_binding + [(1,)]
