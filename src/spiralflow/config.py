@@ -10,7 +10,9 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field as dc_field, fields
 
-from .continuation import check_bracket_tol, check_ladder, check_search, checked_schedule
+from .continuation import (
+    check_axis_values, check_bracket_tol, check_ladder, check_search, checked_schedule
+)
 from .errors import ConfigError, DomainError
 from .meshing import Circle, PerturbedCircle
 from .solver import NEWTON_TOL
@@ -135,6 +137,13 @@ class RunConfig:
         return value
 
 
+def _only(mapping, known, path):
+    """Reject the first key no parser reads, at its dotted path."""
+    for key in mapping:
+        if key not in known:
+            raise ConfigError(f"{path}{key}", "unknown field")
+
+
 def _object(doc, name):
     section = _expect(doc, name, "")
     if not isinstance(section, dict):
@@ -142,27 +151,26 @@ def _object(doc, name):
     return section
 
 
+_BODY_FIELDS = {"circle": ("a",), "perturbed_circle": ("a", "b", "k")}
+
+
 def _parse_body(doc):
     body = _object(doc, "body")
     kind = _expect(body, "kind", "body.")
-    if kind not in ("circle", "perturbed_circle"):
+    if kind not in _BODY_FIELDS:
         raise ConfigError("body.kind", f"unknown body kind {kind!r}")
-    a = _number(body, "a", "body.")
-    if kind == "circle":
-        spec = BodySpec(kind=kind, a=a)
-    else:
-        spec = BodySpec(
-            kind=kind,
-            a=a,
-            b=_number(body, "b", "body."),
-            k=_integer(body, "k", "body."),
-        )
+    _only(body, ("kind",) + _BODY_FIELDS[kind], "body.")
+    types = {f.name: f.type for f in fields(BodySpec)}
+    spec = BodySpec(
+        kind, **{n: _PARSERS[types[n]](body, n, "body.") for n in _BODY_FIELDS[kind]}
+    )
     spec.build()  # geometric validation happens now, not at solve time
     return spec
 
 
 def _parse_mesh(doc, body_spec):
     mesh = _object(doc, "mesh")
+    _only(mesh, ("h", "R_out"), "mesh.")
     h = _number(mesh, "h", "mesh.")
     if h <= 0:
         raise ConfigError("mesh.h", "mesh spacing must be positive")
@@ -183,17 +191,21 @@ def _parse_section(doc, name, spec):
     if name not in doc:
         return spec()
     section = _object(doc, name)
+    _only(section, [f.name for f in fields(spec)], f"{name}.")
     present = [f for f in fields(spec) if f.name in section]
     return spec(
         **{f.name: _PARSERS[f.type](section, f.name, f"{name}.") for f in present}
     )
 
 
-def _parse_grid(doc):
-    """Swept values: an explicit list, or num evenly spaced from start to stop."""
+def _parse_grid(doc, axis):
+    """Swept values in the axis range: a list, or num evenly spaced from start to stop."""
     grid = _object(doc, "grid")
+    _only(grid, ("values",) if "values" in grid else ("start", "stop", "num"), "grid.")
     if "values" in grid:
-        return _numbers(grid, "values", "grid.")
+        values = _numbers(grid, "values", "grid.")
+        check_axis_values(axis, {f"grid.values[{i}]": v for i, v in enumerate(values)})
+        return values
     start = _number(grid, "start", "grid.")
     stop = _number(grid, "stop", "grid.")
     num = _integer(grid, "num", "grid.")
@@ -202,7 +214,9 @@ def _parse_grid(doc):
     if not (stop > start):
         raise ConfigError("grid.stop", "need stop > start")
     step = (stop - start) / (num - 1)
-    return tuple(start + i * step for i in range(num))
+    values = tuple(start + i * step for i in range(num))
+    check_axis_values(axis, {"grid.start": values[0], "grid.stop": values[-1]})
+    return values
 
 
 def parse_config(raw: bytes) -> RunConfig:
@@ -219,16 +233,16 @@ def parse_config(raw: bytes) -> RunConfig:
         raise ConfigError(
             "spec_version", f"unsupported version {version} (expected {SPEC_VERSION})"
         )
+    top = {f.name for f in fields(RunConfig)} - {"sha1"} | {"spec_version", "far_field"}
+    _only(doc, top, "")
 
     gamma = _number(doc, "gamma", "")
     if gamma <= 1.0:
         raise ConfigError("gamma", "adiabatic exponent must exceed 1")
     kappa1 = _number(doc, "kappa1", "")
-    if not (0.0 < kappa1 < 1.0):
-        raise ConfigError("kappa1", "source strength must lie in (0, 1)")
+    check_axis_values("kappa1", {"kappa1": kappa1})
     kappa2 = _number(doc, "kappa2", "")
-    if not (abs(kappa2) < 1.0):
-        raise ConfigError("kappa2", "swirl strength must lie in (-1, 1)")
+    check_axis_values("kappa2", {"kappa2": kappa2})
 
     body_spec = _parse_body(doc)
     mesh_spec = _parse_mesh(doc, body_spec)
@@ -250,15 +264,15 @@ def parse_config(raw: bytes) -> RunConfig:
         raise ConfigError("tolerances.newton_tol", "must be positive")
     check_bracket_tol(tolerances.critical_tol, "tolerances.critical_tol")
 
-    grid = _parse_grid(doc) if "grid" in doc else None
+    grid = _parse_grid(doc, axis) if "grid" in doc else None
     search = _parse_section(doc, "search", SearchSpec) if "search" in doc else None
     if search is not None:
-        check_search(**asdict(search), path="search.")
+        check_search(**asdict(search), axis=axis, path="search.")
     ladder = _parse_section(doc, "ladder", LadderSpec) if "ladder" in doc else None
     if ladder is not None:
         if len(ladder.annulus) != 2:
             raise ConfigError("ladder.annulus", "expected [r_in, r_out]")
-        check_ladder(**asdict(ladder), path="ladder.")
+        check_ladder(**asdict(ladder), axis=axis, path="ladder.")
     radial = _parse_section(doc, "radial", RadialSpec)
     if not radial.r_max > 1.0:
         raise ConfigError("radial.r_max", "must exceed 1, the body radius")

@@ -52,12 +52,23 @@ def checked_schedule(schedule, path="schedule"):
     return sched
 
 
-def check_search(lo, hi, n_grid, path=""):
+def check_axis_values(axis, values):
+    """Each value of {path: value} lies in the axis's open range, (0, 1) for
+    kappa1 and (-1, 1) for kappa2; ConfigError at path."""
+    axis = SweepAxis(axis)
+    lo = 0.0 if axis is SweepAxis.KAPPA1 else -1.0
+    for path, v in values.items():
+        if not lo < v < 1.0:
+            raise ConfigError(path, f"{axis.value} must lie in ({lo:g}, 1), got {v:g}")
+
+
+def check_search(lo, hi, n_grid, axis, path=""):
     """The critical search's range rules; ConfigError at path + field."""
     if not (hi > lo):
         raise ConfigError(f"{path}hi", "need lo < hi")
     if n_grid < 3:
         raise ConfigError(f"{path}n_grid", "grid scan needs at least 3 points")
+    check_axis_values(axis, {f"{path}lo": lo, f"{path}hi": hi})
 
 
 def check_bracket_tol(tol, path="tol"):
@@ -66,7 +77,7 @@ def check_bracket_tol(tol, path="tol"):
         raise ConfigError(path, "bracket width below 1e-3 is not supported")
 
 
-def check_ladder(lo, hi, n_seq, annulus, path=""):
+def check_ladder(lo, hi, n_seq, annulus, axis, path=""):
     """The sonic ladder's range rules; ConfigError at path + field."""
     if n_seq < 2:
         raise ConfigError(f"{path}n_seq", "a ladder needs at least 2 rungs")
@@ -74,6 +85,8 @@ def check_ladder(lo, hi, n_seq, annulus, path=""):
         raise ConfigError(f"{path}hi", "need lo < hi")
     if not (0.0 < annulus[0] < annulus[1]):
         raise ConfigError(f"{path}annulus", "need 0 < r_in < r_out")
+    top = hi - (hi - lo) * 2.0 ** (1 - n_seq)  # the last rung; hi is never solved at
+    check_axis_values(axis, {f"{path}lo": lo, f"{path}hi": top})
 
 
 def checked_probe(mesh, annulus, path=""):
@@ -274,6 +287,7 @@ def parameter_sweep(
     continues from a cold start.
     """
     axis = SweepAxis(axis)
+    check_axis_values(axis, {f"values[{i}]": v for i, v in enumerate(values)})
     step = _removal_step(gamma, kappa1, kappa2, axis, mesh, schedule, newton_tol)
     result = SweepResult(axis=axis)
     guess = None
@@ -348,7 +362,7 @@ def find_critical_parameter(
     leading true/false pair to the requested width.
     """
     step = _removal_step(gamma, kappa1, kappa2, axis, mesh, schedule, newton_tol)
-    check_search(lo, hi, n_grid)
+    check_search(lo, hi, n_grid, axis)
     check_bracket_tol(tol)
 
     evaluations = []
@@ -463,7 +477,7 @@ def sonic_limit_study(
     choking.
     """
     step = _removal_step(gamma, kappa1, kappa2, axis, mesh, schedule, newton_tol)
-    check_ladder(lo, hi, n_seq, annulus)
+    check_ladder(lo, hi, n_seq, annulus, axis)
     r_in, r_out = float(annulus[0]), float(annulus[1])
     probe = checked_probe(mesh, annulus)
 

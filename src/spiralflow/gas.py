@@ -75,35 +75,45 @@ def piecewise_chebval(breaks, x, *series):
     return out
 
 
-def bracketed_root(resid, slope, lo, hi):
+def chained_antiderivative(breaks, series):
+    """Continuous antiderivative, 0 at breaks[0], of a piecewise series, and its end value."""
+    out, end = [], 0.0
+    for coef, a, b in zip(series, breaks[:-1], breaks[1:]):
+        out.append(_cheb.chebint(coef, k=end, lbnd=-1.0, scl=0.5 * (b - a)))
+        end = float(_cheb.chebval(1.0, out[-1]))
+    return out, end
+
+
+def bracketed_root(resid, lo, hi, what):
     """Root of resid, increasing on each bracket [lo, hi], vectorized.
 
-    Newton from hi with a bisection safeguard, for exactly 90 iterations: a
-    fixed count, so that each point's root does not depend on the other
-    points solved in the same batch.  90 bisection halvings alone shrink
-    any bracket here below one ulp; Newton only accelerates that.  Returns
-    the midpoint of the final bracket; callers check the residual there.
+    Plain bisection: each point halves its own bracket until no float lies
+    strictly inside and returns that bracket's midpoint, so its root does not
+    depend on the rest of the batch; the loop ends when the last bracket
+    collapses.  A residual there above 1e-12, or NaN, is an
+    InternalConsistencyError that names what.
     """
-    rho = hi.copy()
-    for _ in range(90):
-        f = resid(rho)
-        lo = np.where(f < 0.0, rho, lo)
-        hi = np.where(f >= 0.0, rho, hi)
-        df = slope(rho)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand = rho - f / df
-        ok = (df > 0.0) & np.isfinite(cand) & (cand > lo) & (cand < hi)
-        rho = np.where(ok, cand, 0.5 * (lo + hi))
-    return 0.5 * (lo + hi)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    mid = 0.5 * (lo + hi)
+    live = (lo < mid) & (mid < hi)
+    while np.any(live):
+        up = resid(mid) >= 0.0  # a NaN residual moves lo, so the loop still ends
+        lo = np.where(live & ~up, mid, lo)
+        hi = np.where(live & up, mid, hi)
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+    if not np.all(np.abs(resid(mid)) <= 1e-12):
+        raise InternalConsistencyError(f"{what} residual above 1e-12")
+    return mid
 
 
 def _mass_flux_density_raw(gamma, s):
     """Subsonic-branch density for squared mass flux s, vectorized.
 
     Solves s/(2 rho^2) + rho^(gamma-1)/(gamma-1) = (gamma+1)/(2(gamma-1))
-    on the bracket [1, rho_stagnation], where the residual is increasing,
-    by bracketed_root; the root is ill-conditioned near s = 1 (the
-    residual derivative vanishes at the sonic point).
+    by bisection on [1, rho_stagnation], where the residual is increasing;
+    near s = 1 the root is ill-conditioned (the residual's slope vanishes
+    at the sonic point), but bisection needs no slope.
     """
     s = np.asarray(s, dtype=float)
     const = 0.5 * (gamma + 1.0) / (gamma - 1.0)
@@ -111,15 +121,8 @@ def _mass_flux_density_raw(gamma, s):
     def resid(rho):
         return 0.5 * s / rho**2 + rho ** (gamma - 1.0) / (gamma - 1.0) - const
 
-    rho = bracketed_root(
-        resid,
-        lambda rho: rho ** (gamma - 2.0) - s / rho**3,
-        np.ones_like(s),
-        np.full_like(s, stagnation_density(gamma)),
-    )
-    if np.max(np.abs(resid(rho))) > 1e-12:
-        raise InternalConsistencyError("mass-flux density residual above 1e-12")
-    return rho
+    hi = np.full_like(s, stagnation_density(gamma))
+    return bracketed_root(resid, np.ones_like(s), hi, "mass-flux density")
 
 
 def _mass_flux_density_slope(gamma, s, rho):
@@ -165,7 +168,6 @@ class GasModel:
         self.eps = float(eps)
         self.s_blend_lo = 1.0 - 2.0 * self.eps
         self.s_blend_hi = 1.0 - self.eps
-        self.rho_stagnation = stagnation_density(self.gamma)
         self.rho_cut = float(_mass_flux_density_raw(self.gamma, self.s_blend_hi))
         self._build_blend()
         self._build_flux_cache()
@@ -317,17 +319,13 @@ class GasModel:
     def _build_flux_cache(self):
         breaks = list(self._piece_breakpoints()) + [self.s_blend_hi]
         self._piece_breaks = np.array(breaks)
-        self._pieces = ([], [], [])  # F, F', F'' per piece
-        offset = 0.0
+        fprimes, derivs = [], []
         for a, b in zip(breaks[:-1], breaks[1:]):
             def fprime(t, a=a, b=b):
                 s = 0.5 * (a + b) + 0.5 * (b - a) * t
                 return 1.0 / self._truncated(np.minimum(s, self.s_blend_hi))
 
-            coef = _cheb.chebinterpolate(fprime, 48)
-            integ = _cheb.chebint(coef, k=offset, lbnd=-1.0, scl=0.5 * (b - a))
-            deriv = _cheb.chebder(coef, scl=2.0 / (b - a))
-            for series, c in zip(self._pieces, (integ, coef, deriv)):
-                series.append(c)
-            offset = float(_cheb.chebval(1.0, integ))
-        self._flux_tail_offset = offset
+            fprimes.append(_cheb.chebinterpolate(fprime, 48))
+            derivs.append(_cheb.chebder(fprimes[-1], scl=2.0 / (b - a)))
+        flux, self._flux_tail_offset = chained_antiderivative(breaks, fprimes)
+        self._pieces = (flux, fprimes, derivs)  # F, F', F'' per piece

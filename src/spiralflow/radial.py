@@ -39,8 +39,10 @@ from .errors import DomainError, InternalConsistencyError, RegimeError
 from .gas import (
     GasModel,
     bracketed_root,
+    chained_antiderivative,
     density_from_speed,
     piecewise_chebval,
+    speed_limit_sq,
     stagnation_density,
 )
 
@@ -113,7 +115,10 @@ class RadialBackground:
         self.gamma = gas.gamma
         self.kappa1 = float(kappa1)
         self.kappa2 = float(kappa2)
-        self.rho0 = float(density_from_speed(self.gamma, kappa1**2 + kappa2**2))
+        q0sq = kappa1**2 + kappa2**2
+        if q0sq >= speed_limit_sq(self.gamma):  # zero density at the body, or none
+            raise RegimeError(f"no admissible body state: kappa1^2 + kappa2^2 = {q0sq:g}")
+        self.rho0 = float(density_from_speed(self.gamma, q0sq))
         c0sq = self.rho0 ** (self.gamma - 1.0)
         if kappa1**2 >= c0sq:
             raise RegimeError(
@@ -162,14 +167,7 @@ class RadialBackground:
                 f"no admissible background density at r={bad.flat[0]:g}; "
                 "the radial mass flux chokes before that radius"
             )
-        rho = bracketed_root(
-            resid,
-            lambda rho: rho ** (gamma - 2.0) - mdot**2 / (r**2 * rho**3),
-            lo,
-            np.full_like(r, self.rho_inf),
-        )
-        if np.max(np.abs(resid(rho))) > 1e-12:
-            raise InternalConsistencyError("background density residual above 1e-12")
+        rho = bracketed_root(resid, lo, np.full_like(r, self.rho_inf), "background density")
         return float(rho[0]) if scalar else rho
 
     def state(self, r):
@@ -263,12 +261,9 @@ class RadialBackground:
                     raise InternalConsistencyError(f"density series fails near t={ak:g}")
                 else:
                     todo += [(ak, 0.5 * (ak + bk)), (0.5 * (ak + bk), bk)]
-        a, b, g = zip(*sorted(pieces, key=lambda piece: piece[0]))
-        G, end = [], 0.0
-        for c, width in zip(g, np.subtract(b, a)):
-            G.append(_cheb.chebint(c, k=end, lbnd=-1.0, scl=0.5 * width))
-            end = _cheb.chebval(1.0, G[-1])
-        return np.array(a + (1.0,)), g, G
+        a, _, g = zip(*sorted(pieces, key=lambda piece: piece[0]))
+        breaks = np.array(a + (1.0,))
+        return breaks, g, chained_antiderivative(breaks, g)[0]
 
     # ------------------------------------------------------------------
     # ODE route and classification

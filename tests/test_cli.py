@@ -2,6 +2,7 @@
 
 import json
 import subprocess
+import sys
 
 import pytest
 
@@ -222,6 +223,48 @@ class TestExitCodes:
         cfg = _write_config(tmp_path, **overrides)
         assert main([command, "--config", str(cfg), "--output", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+
+    @pytest.mark.parametrize(
+        "command, overrides, code, message",
+        [
+            ("sweep", {"grid": {"values": [0.5, 1.2]}}, 2, "config error: grid.values[1]: "),
+            ("critical", {"search": {"hi": 1.3}}, 2, "config error: search.hi: "),
+            (
+                "limit",
+                {"ladder": {"lo": 0.5, "hi": 1.5, "n_seq": 3}},
+                2,
+                "config error: ladder.hi: ",
+            ),
+            ("solve", {"eps_schedul": [0.2, 0.1]}, 2, "config error: eps_schedul: "),
+            (
+                "solve",
+                {"tolerances": {"newton_tl": 1e-12}},
+                2,
+                "config error: tolerances.newton_tl: ",
+            ),
+            ("critical", {"search": {"n_gird": 3}}, 2, "config error: search.n_gird: "),
+            # kappa1^2 + kappa2^2 past the gamma-10 speed limit: no body state
+            (
+                "solve",
+                {"gamma": 10.0, "kappa1": 0.8, "kappa2": 0.8},
+                3,
+                "numerical failure: no admissible body state",
+            ),
+        ],
+    )
+    def test_documented_exit_without_traceback(
+        self, tmp_path, command, overrides, code, message
+    ):
+        cfg = _write_config(tmp_path, **overrides)
+        proc = subprocess.run(
+            [sys.executable, "-m", "spiralflow.cli", command, "--config", str(cfg),
+             "--output", str(tmp_path / "out"), "--quiet"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == code
+        assert proc.stderr.startswith(message)
+        assert "Traceback" not in proc.stderr
 
     def test_missing_config_exit_4(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -55,6 +55,11 @@ class TestParsing:
         assert cfg.tolerances.critical_tol == 0.02
         assert cfg.output_dir == "artifacts"
 
+    def test_ladder_may_aim_at_the_range_end(self):
+        # rungs approach hi without reaching it: the top one here is 0.875
+        cfg = _parse(ladder={"lo": 0.5, "hi": 1.0, "n_seq": 3})
+        assert cfg.section("ladder").hi == 1.0
+
     def test_body_construction_cached_validation(self):
         cfg = _parse(body={"kind": "perturbed_circle", "a": 1.3, "b": 0.2, "k": 4})
         body = cfg.body.build()
@@ -87,6 +92,23 @@ class TestValidation:
             ({"tolerances": {"critical_tol": 1e-4}}, "tolerances.critical_tol"),
             ({"output_dir": 7}, "output_dir"),
             ({"far_field": "zero"}, "far_field"),
+            # keys no parser reads
+            ({"eps_schedul": [0.2, 0.1]}, "eps_schedul"),
+            ({"tolerances": {"newton_tl": 1e-12}}, "tolerances.newton_tl"),
+            ({"search": {"n_gird": 3}}, "search.n_gird"),
+            ({"ladder": {"n_rungs": 3}}, "ladder.n_rungs"),
+            ({"radial": {"rmax": 20.0}}, "radial.rmax"),
+            ({"mesh": {"h": 0.25, "R_out": 8.0, "r_out": 9.0}}, "mesh.r_out"),
+            ({"sha1": "0" * 40}, "sha1"),
+            # b and k are read only for a perturbed circle
+            ({"body": {"kind": "circle", "a": 1.0, "b": 0.1}}, "body.b"),
+            ({"body": {"kind": "circle", "a": 1.0, "k": 3}}, "body.k"),
+            ({"body": {"kind": "perturbed_circle", "a": 1.2, "b": 0.1, "k": 3, "m": 1}}, "body.m"),
+            # every search and ladder value a run solves at lies in the axis range
+            ({"search": {"hi": 1.3}}, "search.hi"),
+            ({"axis": "kappa1", "search": {"lo": 0.0}}, "search.lo"),
+            ({"ladder": {"lo": 0.5, "hi": 1.5, "n_seq": 3}}, "ladder.hi"),
+            ({"ladder": {"lo": -1.5, "hi": 0.5}}, "ladder.lo"),
         ],
     )
     def test_field_paths(self, overrides, path):
@@ -125,8 +147,8 @@ class TestSweepValues:
         assert cfg.section("grid") == (0.1, 0.3, 0.2)
 
     def test_linear_grid(self):
-        cfg = _parse(grid={"start": 0.0, "stop": 1.0, "num": 5})
-        assert cfg.section("grid") == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
+        cfg = _parse(grid={"start": -0.5, "stop": 0.5, "num": 5})
+        assert cfg.section("grid") == pytest.approx([-0.5, -0.25, 0.0, 0.25, 0.5])
 
     def test_missing_section(self):
         with pytest.raises(ConfigError) as exc:
@@ -141,6 +163,13 @@ class TestSweepValues:
             ({"start": 0.1, "stop": 0.5, "num": 1}, "grid.num"),
             ({"start": 0.5, "stop": 0.1, "num": 3}, "grid.stop"),
             ({"start": 0.1, "num": 3}, "grid.stop"),
+            # grid reads either values or start/stop/num
+            ({"values": [0.1], "num": 3}, "grid.num"),
+            ({"start": 0.1, "stop": 0.5, "num": 3, "values": [0.2]}, "grid.start"),
+            # every swept value lies in the axis range
+            ({"values": [0.5, 1.2]}, "grid.values[1]"),
+            ({"start": 0.0, "stop": 1.0, "num": 5}, "grid.stop"),
+            ({"start": -1.0, "stop": 0.5, "num": 4}, "grid.start"),
         ],
     )
     def test_bad_grids(self, grid, path):

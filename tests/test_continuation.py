@@ -150,6 +150,14 @@ class TestSweep:
         assert [r.kappa1 for r in res.rows] == [0.2, 0.4]
         assert all(r.kappa2 == 0.2 for r in res.rows)
 
+    def test_values_outside_axis_range_rejected(self, circle_mesh):
+        with pytest.raises(ConfigError, match="kappa2 must lie in") as exc:
+            ct.parameter_sweep(2.0, 0.3, 0.0, "kappa2", [0.5, 1.2], circle_mesh)
+        assert exc.value.field == "values[1]"
+        with pytest.raises(ConfigError) as exc:
+            ct.parameter_sweep(2.0, 0.3, 0.0, "kappa1", [0.0], circle_mesh)
+        assert exc.value.field == "values[0]"
+
     def test_axis_accepts_string(self, circle_mesh):
         res = ct.parameter_sweep(2.0, 0.3, 0.0, "kappa2", [0.2], circle_mesh)
         assert res.axis is ct.SweepAxis.KAPPA2
@@ -169,6 +177,9 @@ class TestCriticalSearch:
             ct.find_critical_parameter(
                 2.0, 0.6, 0.0, "kappa2", 0.4, 0.8, circle_mesh, n_grid=2
             )
+        with pytest.raises(ConfigError, match="kappa2 must lie in") as exc:
+            ct.find_critical_parameter(2.0, 0.6, 0.0, "kappa2", 0.4, 1.3, circle_mesh)
+        assert exc.value.field == "hi"
 
     def test_finds_default_schedule_flip(self, circle_mesh):
         # with the stock schedule the certification ceiling is 1 - 2*0.0125;
@@ -277,3 +288,7 @@ class TestLimitStudy:
             )
         with pytest.raises(ConfigError, match="lo < hi"):
             ct.sonic_limit_study(2.0, 0.6, 0.0, "kappa2", 0.7, 0.4, 3, circle_mesh)
+        # the top rung 1.5 - 1.0 / 4 leaves the range
+        with pytest.raises(ConfigError, match="kappa2 must lie in") as exc:
+            ct.sonic_limit_study(2.0, 0.6, 0.0, "kappa2", 0.5, 1.5, 3, circle_mesh)
+        assert exc.value.field == "hi"

@@ -13,10 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from spiralflow.errors import DomainError
+from spiralflow.errors import DomainError, InternalConsistencyError
 from spiralflow.gas import (
     EllipticityBounds,
     GasModel,
+    bracketed_root,
     density_from_speed,
     stagnation_density,
 )
@@ -105,12 +106,18 @@ class TestDensityFromMassFlux:
         assert np.max(np.abs(resid)) <= 1e-12
 
     def test_each_point_as_if_solved_alone(self):
-        # a fixed iteration count: no point's density depends on the batch
+        # per-point bisection: no point's density depends on the batch
         gm = GasModel(2.0, 0.1)
         s = np.linspace(0.0, 1.0, 2001)[::7]
         rho = gm.density_from_mass_flux(s)
         alone = np.array([gm.density_from_mass_flux(v) for v in s])
         assert np.array_equal(rho, alone)
+
+    @pytest.mark.parametrize("s", [np.nan, [0.5, np.nan]])
+    def test_nan_raises(self, s):
+        gm = GasModel(2.0, 0.1)
+        with pytest.raises(InternalConsistencyError, match="mass-flux density"):
+            gm.density_from_mass_flux(s)
 
     def test_domain_errors(self):
         gm = GasModel(2.0, 0.1)
@@ -129,6 +136,23 @@ class TestDensityFromMassFlux:
         s = rho**2 * q2
         gm = GasModel(gamma, 0.1)
         assert gm.density_from_mass_flux(s) == pytest.approx(rho, rel=2e-7, abs=2e-7)
+
+
+class TestBracketedRoot:
+    def test_roots_across_binades(self):
+        # roots from 1e-3 to 1e3 in brackets spanning all those binades:
+        # each ends within one ulp of its root, as if solved alone
+        c = np.geomspace(1e-3, 1e3, 97)
+        lo, hi = np.full_like(c, 5e-4), np.full_like(c, 2e3)
+        root = bracketed_root(lambda x: x - c, lo, hi, "test")
+        assert np.all(np.abs(root - c) <= np.spacing(c))
+        alone = [bracketed_root(lambda x, v=v: x - v, 5e-4, 2e3, "test") for v in c]
+        assert np.array_equal(root, alone)
+
+    def test_residual_rule_names_what(self):
+        # a root outside its bracket leaves the residual far from zero
+        with pytest.raises(InternalConsistencyError, match="widget residual"):
+            bracketed_root(lambda x: x - 3.0, np.zeros(2), np.ones(2), "widget")
 
 
 class TestTruncatedDensity:

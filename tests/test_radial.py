@@ -131,6 +131,11 @@ class TestConstruction:
         with pytest.raises(RegimeError):
             RadialBackground(gm, 0.9, 0.99)
 
+    def test_body_speed_past_the_speed_limit_rejected(self):
+        # at gamma 10 the squared speed is capped at 11/9 < 0.8^2 + 0.8^2
+        with pytest.raises(RegimeError, match="no admissible body state"):
+            RadialBackground(GasModel(10.0, 0.1), 0.8, 0.8)
+
     def test_negative_swirl_allowed(self, gm):
         b = RadialBackground(gm, 0.3, -0.4)
         assert b.rho0 == pytest.approx(1.375)
