@@ -201,7 +201,7 @@ class GasModel:
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
-        if np.any(s < 0.0):
+        if not np.all(s >= 0.0):  # NaN fails too
             raise DomainError("squared mass flux must be nonnegative")
         val = np.full_like(s, self.rho_cut)
         low = s <= self.s_blend_lo

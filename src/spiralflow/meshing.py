@@ -16,11 +16,14 @@ body outward.  Every quad cell is split along the same diagonal into two
 counterclockwise triangles, so rebuilding a mesh from the same inputs is
 bit-for-bit reproducible.
 
-A mesh finds its largest rotation symmetry from its geometry on first
-use (detect_rotation), whatever its numbering: a circle's grid is
-invariant under a turn by one column, a k-fold rippled body's grid when
-k divides the column count.  Its reduction then has one unknown per
-node orbit and works on a Sector of one triangle per triangle orbit,
+The column count is the arc-length count rounded up to a multiple of
+the body's rotation order (body.rotation_order(): 1 for a circle, the
+mode of a rippled body), so the grid keeps the body's symmetry: a
+circle's grid is invariant under a turn by one column, a k-fold rippled
+body's under a turn by n_cols / k columns.  A mesh finds its largest
+rotation symmetry from its geometry on first use (detect_rotation),
+whatever its numbering.  Its reduction then has one unknown per node
+orbit and works on a Sector of one triangle per triangle orbit,
 weighted by the orbit size.
 """
 
@@ -64,6 +67,9 @@ class Circle:
     def mean_radius(self):
         return self.radius
 
+    def rotation_order(self):
+        return 1
+
 
 @dataclass(frozen=True)
 class PerturbedCircle:
@@ -97,6 +103,9 @@ class PerturbedCircle:
 
     def mean_radius(self):
         return self.base_radius
+
+    def rotation_order(self):
+        return self.mode
 
 
 @dataclass(eq=False)
@@ -542,8 +551,10 @@ def build_annulus_mesh(body, outer_radius, target_h):
     """Mesh the region between the body boundary and the circle r = outer_radius.
 
     target_h sets the edge length near the body; spacing then grows in
-    proportion to r.  Raises MeshQualityError if the warped grid falls
-    below the MIN_ANGLE_DEG quality threshold (sharply perturbed bodies).
+    proportion to r.  The column count is rounded up to a multiple of
+    body.rotation_order(), so a k-fold body gets a k-fold invariant mesh.
+    Raises MeshQualityError if the warped grid falls below the
+    MIN_ANGLE_DEG quality threshold (sharply perturbed bodies).
     """
     if not target_h > 0.0:
         raise DomainError(f"target_h must be positive, got {target_h:g}")
@@ -554,6 +565,8 @@ def build_annulus_mesh(body, outer_radius, target_h):
             f"({4.0 * body.max_radius():g})"
         )
     n_cols = max(8, math.ceil(2.0 * math.pi * a_ref / target_h))
+    k = body.rotation_order()
+    n_cols = -(-n_cols // k) * k
     n_r = max(4, math.ceil(a_ref * math.log(outer_radius / a_ref) / target_h))
     theta = 2.0 * math.pi * np.arange(n_cols) / n_cols
     rb = body.boundary_radius(theta)

@@ -156,6 +156,11 @@ class TestBracketedRoot:
 
 
 class TestTruncatedDensity:
+    @pytest.mark.parametrize("s", [np.nan, [0.5, np.nan], -1e-9])
+    def test_outside_domain_raises(self, s):
+        with pytest.raises(DomainError, match="nonnegative"):
+            GasModel(2.0, 0.1).truncated_density(s)
+
     def test_matches_exact_below_band(self):
         gm = GasModel(2.0, 0.1)
         s = np.linspace(0.0, gm.s_blend_lo, 30)

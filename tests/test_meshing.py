@@ -1,11 +1,14 @@
 """Mesh generator and VTK writer tests: topology, quality, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from spiralflow.errors import DomainError, MeshQualityError
 from spiralflow.meshing import (
+    MIN_ANGLE_DEG,
     Circle,
     PerturbedCircle,
     TriangleMesh,
@@ -24,6 +27,14 @@ def circle_mesh():
 def wavy_mesh():
     return build_annulus_mesh(
         PerturbedCircle(1.2, 0.1, 3), outer_radius=20.0, target_h=0.2
+    )
+
+
+@pytest.fixture(scope="module")
+def lopsided_mesh():
+    # a mode-1 ripple has no rotation symmetry, so its mesh stays k = 1
+    return build_annulus_mesh(
+        PerturbedCircle(1.2, 0.1, 1), outer_radius=20.0, target_h=0.2
     )
 
 
@@ -137,19 +148,44 @@ class TestGeometry:
             build_annulus_mesh(Circle(1.0), outer_radius=10.0, target_h=0.0)
 
 
+class TestColumnRule:
+    """The column count is the arc-length count rounded up to a multiple of
+    the body's rotation order, so a k-fold rippled body's grid is k-fold
+    invariant."""
+
+    @pytest.mark.parametrize("mode", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("h", [0.3, 0.17, 0.1, 0.05])
+    def test_multiple_of_mode(self, mode, h):
+        body = PerturbedCircle(1.2, 0.1, mode)
+        assert body.rotation_order() == mode
+        mesh = build_annulus_mesh(body, outer_radius=8.0, target_h=h)
+        arc = math.ceil(2.0 * math.pi * 1.2 / h)
+        assert mesh.n_cols % mode == 0
+        assert 0 <= mesh.n_cols - arc < mode
+        assert mesh.rotation.k == mode
+        assert mesh.min_angle_deg() >= MIN_ANGLE_DEG
+
+    @pytest.mark.parametrize("radius, h", [(1.0, 0.25), (1.0, 0.1), (1.3, 0.07), (2.0, 0.05)])
+    def test_circle_columns_unchanged(self, radius, h):
+        assert Circle(radius).rotation_order() == 1
+        mesh = build_annulus_mesh(Circle(radius), outer_radius=8.0 * radius, target_h=h)
+        assert mesh.n_cols == max(8, math.ceil(2.0 * math.pi * radius / h))
+        assert mesh.rotation.k == mesh.n_cols
+
+
 class TestAssembly:
-    def test_fixed_pattern_matches_triple_product(self, wavy_mesh):
+    def test_fixed_pattern_matches_triple_product(self, lopsided_mesh):
         # oracle: full COO assembly, then restriction^T K restriction, on a
         # permuted numbering so the pattern is not banded
         rng = np.random.default_rng(14)
-        perm = rng.permutation(wavy_mesh.n_points)
+        perm = rng.permutation(lopsided_mesh.n_points)
         inv = np.empty_like(perm)
-        inv[perm] = np.arange(wavy_mesh.n_points)
+        inv[perm] = np.arange(lopsided_mesh.n_points)
         mesh = TriangleMesh(
-            wavy_mesh.points[inv],
-            perm[wavy_mesh.triangles],
-            perm[wavy_mesh.body_nodes],
-            perm[wavy_mesh.outer_nodes],
+            lopsided_mesh.points[inv],
+            perm[lopsided_mesh.triangles],
+            perm[lopsided_mesh.body_nodes],
+            perm[lopsided_mesh.outer_nodes],
         )
         assert mesh.rotation.k == 1
         red = mesh.reduction

@@ -27,11 +27,22 @@ from spiralflow.radial import RadialBackground
 ROOT = Path(__file__).resolve().parent.parent
 WAVY = PerturbedCircle(1.2, 0.1, 3)
 
-# (body, R_out, h, kappa1, kappa2); the wavy meshes have 36 and 72 columns
+
+class _Unaligned(PerturbedCircle):
+    """The wavy body with its symmetry hidden from the column rule, so its
+    mesh keeps the arc-length column count, which 3 need not divide."""
+
+    def rotation_order(self):
+        return 1
+
+
+# (body, R_out, h, kappa1, kappa2); the wavy meshes have 36, 72 and 78
+# columns, the last the README's config (76 columns rounded up to 78)
 CASES = {
     "circle": (Circle(1.0), 8.0, 0.1, 0.6, 0.75),
     "wavy36": (WAVY, 16.0, 0.21, 0.3, 0.2),
     "wavy72": (WAVY, 16.0, 0.105, 0.6, 0.7),
+    "wavy78": (WAVY, 16.0, 0.1, 0.3, 0.2),
 }
 
 
@@ -100,7 +111,11 @@ class TestDetection:
 
     @pytest.mark.parametrize(
         "body, h, n_cols",
-        [(WAVY, 0.05, 151), (WAVY, 0.025, 302), (PerturbedCircle(1.2, 0.1, 1), 0.105, 72)],
+        [
+            (_Unaligned(1.2, 0.1, 3), 0.05, 151),
+            (_Unaligned(1.2, 0.1, 3), 0.025, 302),
+            (PerturbedCircle(1.2, 0.1, 1), 0.105, 72),
+        ],
         ids=["wavy151", "wavy302", "mode1"],
     )
     def test_no_rotation(self, body, h, n_cols):
@@ -240,7 +255,7 @@ def test_derivatives_at_an_invariant_iterate(case, monkeypatch):
 
 class TestWholeView:
     def test_no_view_without_rotation(self):
-        mesh = build_annulus_mesh(WAVY, 16.0, 0.3)
+        mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, 1), 16.0, 0.3)
         assert mesh.rotation.k == 1
         rem = ct.solve_with_truncation_removal(RadialBackground(GasModel(2.0, 0.1), 0.3, 0.2), mesh)
         sol = rem.solution

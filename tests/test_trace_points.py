@@ -133,7 +133,8 @@ def _check_flux_law_work(monkeypatch, h, k):
 
     monkeypatch.setattr(gas.GasModel, "coefficient_matrix", coefficient_matrix)
 
-    mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, 3), 16.0, h)
+    # a mode-k ripple: mode 1 has no symmetry and solves on the whole mesh
+    mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, k), 16.0, h)
     assert mesh.rotation.k == k
     bg = RadialBackground(gas.GasModel(1.7, 0.1), 0.3, 0.2)
     rem = ct.solve_with_truncation_removal(bg, mesh, schedule=(0.21, 0.11))
@@ -154,7 +155,8 @@ def test_newton_work_goes_through_traced_methods(monkeypatch, h, k):
     """The per-triangle energy, gradient and Hessian work of a removal,
     on a sector as on the whole mesh, runs inside the FlowProblem methods
     the tracer wraps: one gradient per iterate and one Hessian per step."""
-    mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, 3), 16.0, h)
+    # a mode-k ripple: mode 1 has no symmetry and solves on the whole mesh
+    mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, k), 16.0, h)
     assert mesh.rotation.k == k
     mesh.reduction  # the Laplacian is built before watching
     entered, context, work = [], [], []
