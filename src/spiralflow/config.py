@@ -8,6 +8,7 @@ frozen dataclasses; nothing here ever writes back to the file.
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field as dc_field, fields
 
 from .continuation import (
@@ -34,15 +35,27 @@ def _expect(mapping, key, path):
     return mapping[key]
 
 
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _finite(v, path):
+    """v as a float, or ConfigError at path unless it is a finite number.
+
+    Python's JSON reader accepts NaN and Infinity and reads 1e400 as
+    infinity; none of them is a number a run can use, and NaN passes every
+    range check written as a comparison.  An integer past the float range
+    counts as infinite.
+    """
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ConfigError(path, f"expected a number, got {v!r}")
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf if v > 0 else -math.inf
+    if not math.isfinite(x):
+        raise ConfigError(path, f"expected a finite number, got {x!r}")
+    return x
 
 
 def _number(mapping, key, path):
-    v = _expect(mapping, key, path)
-    if not _is_number(v):
-        raise ConfigError(f"{path}{key}", f"expected a number, got {v!r}")
-    return float(v)
+    return _finite(_expect(mapping, key, path), f"{path}{key}")
 
 
 def _integer(mapping, key, path):
@@ -57,10 +70,7 @@ def _numbers(mapping, key, path):
     v = _expect(mapping, key, path)
     if not isinstance(v, list) or not v:
         raise ConfigError(f"{path}{key}", "expected a non-empty list")
-    for i, x in enumerate(v):
-        if not _is_number(x):
-            raise ConfigError(f"{path}{key}[{i}]", f"expected a number, got {x!r}")
-    return tuple(float(x) for x in v)
+    return tuple(_finite(x, f"{path}{key}[{i}]") for i, x in enumerate(v))
 
 
 @dataclass(frozen=True)

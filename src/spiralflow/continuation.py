@@ -117,7 +117,10 @@ class RemovalResult:
     background: RadialBackground
     rungs: list
     solution: FlowSolution
-    removed: bool
+
+    @property
+    def removed(self):
+        return self.rungs[-1].certified
 
     @property
     def eps_final(self):
@@ -159,14 +162,12 @@ def solve_with_truncation_removal(
     gas = _gas(background.gamma, sched[0])
     problem = FlowProblem(gas, background, mesh, newton_tol=newton_tol)
     rungs = []
-    sol = None
     guess = initial
     for eps in sched:
         if eps != problem.gas.eps:
             problem = problem.with_gas(_gas(background.gamma, eps))
         sol = solve(problem, initial=guess)
         guess = sol.u_reduced
-        certified = sol.s_max < 1.0 - 2.0 * eps
         rungs.append(
             RemovalRung(
                 eps=eps,
@@ -174,12 +175,12 @@ def solve_with_truncation_removal(
                 q_max=sol.q_max,
                 energy=sol.energy,
                 newton_iterations=sol.newton_iterations,
-                certified=certified,
+                certified=sol.s_max < 1.0 - 2.0 * eps,
             )
         )
-        if certified:
-            return RemovalResult(background, rungs, sol, removed=True)
-    return RemovalResult(background, rungs, sol, removed=False)
+        if rungs[-1].certified:
+            break
+    return RemovalResult(background, rungs, sol)
 
 
 def deepened_schedule(mesh, gamma, kappa1, pivot):

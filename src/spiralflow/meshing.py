@@ -22,9 +22,10 @@ mode of a rippled body), so the grid keeps the body's symmetry: a
 circle's grid is invariant under a turn by one column, a k-fold rippled
 body's under a turn by n_cols / k columns.  A mesh finds its largest
 rotation symmetry from its geometry on first use (detect_rotation),
-whatever its numbering.  Its reduction then has one unknown per node
-orbit and works on a Sector of one triangle per triangle orbit,
-weighted by the orbit size.
+whatever its numbering; without one it has k = 1, and each node is the
+orbit of itself.  Its reduction has one unknown per node orbit and works
+on one triangle per triangle orbit, weighted by the orbit size: a Sector
+for k > 1, the mesh itself for k = 1.
 """
 
 import math
@@ -112,23 +113,22 @@ class PerturbedCircle:
 class Reduction:
     """The unknowns a solve runs on and the reduced P1 matrix pattern.
 
-    Every interior node is free and the outer ring floats on one shared
-    unknown, the gauge, which is last.  restriction maps the unknowns to
-    nodes.  Every reduced matrix shares the Laplacian's CSC pattern;
-    slots sends each entry of the flattened (n_tri, 3, 3) local matrices
-    of the reduction's triangles to its data slot, or to the spare slot
-    nnz when a corner carries no unknown.
-
-    The triangles are the mesh's own unless sector is set: then each
-    unknown stands for a whole rotation orbit of nodes (multiplicity[i]
-    full unknowns) and the triangles are the sector's.
+    Each interior node orbit is free and the outer ring floats on one
+    shared unknown, the gauge, which is last.  restriction maps the
+    unknowns to nodes; an orbit unknown stands for multiplicity[i] full
+    unknowns, k of them (one at k = 1), and the gauge for one.  cells
+    holds one triangle per triangle orbit with area weight k: the
+    rotation's Sector, or the mesh itself at k = 1.  Every reduced
+    matrix shares the Laplacian's CSC pattern; slots sends each entry of
+    the flattened (n_tri, 3, 3) local matrices of the cells to its data
+    slot, or to the spare slot nnz when a corner carries no unknown.
     """
 
     restriction: sp.csr_matrix
     slots: np.ndarray  # int32, (9 n_tri,)
     laplacian: sp.csc_matrix  # restriction^T K restriction
-    sector: "Sector | None" = None
-    multiplicity: np.ndarray | None = None
+    cells: "TriangleMesh | Sector"
+    multiplicity: np.ndarray
     _factor: object = field(default=None, init=False, repr=False)
 
     def norm(self, g):
@@ -137,8 +137,6 @@ class Reduction:
         An orbit unknown's component is the sum of its multiplicity equal
         full components, so their squares sum to g_i^2 / multiplicity_i.
         """
-        if self.multiplicity is None:
-            return float(np.linalg.norm(g))
         return float(np.sqrt(np.sum(g**2 / self.multiplicity)))
 
     def laplacian_factor(self, factorize):
@@ -198,23 +196,12 @@ class TriangleMesh:
     exercise permuted numberings).  P1 operators are built on first use.
     """
 
-    def __init__(
-        self,
-        points,
-        triangles,
-        body_nodes,
-        outer_nodes,
-        body_theta=None,
-        n_rings=None,
-        n_cols=None,
-    ):
+    def __init__(self, points, triangles, body_nodes, outer_nodes, body_theta=None):
         self.points = points
         self.triangles = triangles
         self.body_nodes = np.asarray(body_nodes, dtype=np.int64)
         self.outer_nodes = np.asarray(outer_nodes, dtype=np.int64)
         self.body_theta = body_theta
-        self.n_rings = n_rings
-        self.n_cols = n_cols
 
     @property
     def n_points(self):
@@ -276,30 +263,22 @@ class TriangleMesh:
 
     @cached_property
     def reduction(self):
-        """The Reduction every solve on this mesh runs on, built on first use.
-
-        With a rotation symmetry of order k > 1 it has one unknown per
-        node orbit (plus the gauge) and works on the rotation's sector;
-        with k = 1 it has one unknown per interior node (plus the gauge)
-        on the whole mesh.
-        """
+        """The Reduction every solve on this mesh runs on, built on first use:
+        one unknown per interior node orbit (plus the gauge) on the
+        rotation's sector, which at k = 1 is the mesh itself."""
         rotation = self.rotation
         n = self.n_points
+        cells = rotation.sector(self)
+        # one unknown per orbit, numbered by its smallest node
         interior = self.interior
+        interior = interior[rotation.node_orbits[interior] == interior]
         dof = np.full(n, -1, dtype=np.int64)
-        if rotation.k == 1:
-            cells, sector, multiplicity = self, None, None
-            dof[interior] = np.arange(interior.size)
-        else:
-            cells = sector = rotation.sector(self)
-            # one unknown per orbit, numbered by its smallest node
-            interior = interior[rotation.node_orbits[interior] == interior]
-            dof[interior] = np.arange(interior.size)
-            dof = dof[rotation.node_orbits]
-            multiplicity = np.full(interior.size + 1, float(rotation.k))
-            multiplicity[-1] = 1.0
+        dof[interior] = np.arange(interior.size)
+        dof = dof[rotation.node_orbits]
         n_red = interior.size + 1
         dof[self.outer_nodes] = n_red - 1
+        multiplicity = np.full(n_red, float(rotation.k))
+        multiplicity[-1] = 1.0
         nodes = np.nonzero(dof >= 0)[0]
         restriction = sp.csr_matrix(
             (np.ones(nodes.size), (nodes, dof[nodes])), shape=(n, n_red)
@@ -307,7 +286,7 @@ class TriangleMesh:
         slots, indices, indptr = _pattern(dof[cells.triangles], n_red)
         eye = np.broadcast_to(np.eye(2), (cells.triangles.shape[0], 2, 2))
         lap = _scatter(slots, cells.local_stiffness(eye), indices, indptr)
-        return Reduction(restriction, slots, lap, sector=sector, multiplicity=multiplicity)
+        return Reduction(restriction, slots, lap, cells, multiplicity)
 
     @cached_property
     def rotation(self):
@@ -394,16 +373,20 @@ class Sector:
 class Rotation:
     """A rotation by 2 pi / k about the origin that maps the mesh onto itself.
 
-    node_orbits and triangle_orbits label each node and each triangle by
-    the smallest index in its orbit; both are None when k = 1.
+    node_orbits labels each node by the smallest index in its orbit, and
+    triangle_orbits each triangle.  At k = 1, the identity, every node is
+    its own orbit (node_orbits is arange(n_points)) and triangle_orbits
+    is None: the sector is the mesh.
     """
 
     k: int
-    node_orbits: np.ndarray | None = None
+    node_orbits: np.ndarray
     triangle_orbits: np.ndarray | None = None
 
     def sector(self, mesh):
-        """The sector of the orbits' smallest triangles."""
+        """The sector of the orbits' smallest triangles; the mesh itself at k = 1."""
+        if self.k == 1:
+            return mesh
         index = np.nonzero(self.triangle_orbits == np.arange(mesh.n_triangles))[0]
         corners = mesh.corners[index]
         areas = mesh.areas[index]
@@ -431,7 +414,8 @@ def detect_rotation(mesh):
     by n_body / k nodes matches the rotated body points.  A candidate is
     accepted only if every rotated point lands within ROTATION_TOL times
     the mesh extent of a mesh point, both rings and the triangle set map
-    onto themselves, and every orbit has k members.  k = 1 otherwise.
+    onto themselves, and every orbit has k members.  Otherwise k = 1,
+    whose orbits are the single nodes.
     """
     points, body = mesh.points, mesh.body_nodes
     n_body = body.size
@@ -459,7 +443,7 @@ def detect_rotation(mesh):
         triangle_orbits = _orbit_labels(triangle_image, k)
         if node_orbits is not None and triangle_orbits is not None:
             return Rotation(k, node_orbits, triangle_orbits)
-    return Rotation(1)
+    return Rotation(1, np.arange(mesh.n_points))
 
 
 def _match_points(points, images, tol):
@@ -594,8 +578,6 @@ def build_annulus_mesh(body, outer_radius, target_h):
         body_nodes=np.arange(n_cols),
         outer_nodes=np.arange(n_r * n_cols, (n_r + 1) * n_cols),
         body_theta=theta,
-        n_rings=n_r + 1,
-        n_cols=n_cols,
     )
     bad = np.nonzero(mesh.areas <= 0.0)[0]
     if bad.size:

@@ -37,12 +37,14 @@ does not depend on the forcing term.
 
 Rotation symmetry: the energy is strictly convex, so when the mesh and
 the radial background are invariant under rotation by 2 pi / k the
-minimizer is invariant too.  On such a mesh the problem solves on the
-mesh's reduction: one unknown per node orbit (plus the gauge), and
-energy, gradient and Hessian summed over one triangle per orbit with area
-weight k.  The Newton stopping rule reads the gradient's norm in the full
-reduction, and s_max, q_max and the removal certificate come from the
-sector's final state; they are exact for that discrete problem, which
+minimizer is invariant too.  Every problem solves on its mesh's
+reduction: one unknown per node orbit (plus the gauge), and energy,
+gradient and Hessian summed over one triangle per orbit with area
+weight k.  A mesh without a rotation symmetry has k = 1, whose orbits
+are single nodes and triangles, so the one path covers it too.  The
+Newton stopping rule reads the gradient's norm in the full reduction,
+and s_max, q_max and the removal certificate come from the solve's
+final state; for k > 1 they are exact for that discrete problem, which
 differs from the full one only by the roundoff in the rotated
 coordinates.  full_vector and FlowSolution.u_full give u on every node,
 and FlowSolution.state is built on the problem's whole-mesh view, which
@@ -113,16 +115,15 @@ class FlowProblem:
         self.reduction = mesh.reduction
         self.restriction = self.reduction.restriction
         self.n_reduced = self.restriction.shape[1]
-        sector = self.reduction.sector
-        self._sample(mesh if sector is None else sector)
+        self._sample(self.reduction.cells)
         body = mesh.body_nodes
         self.dirichlet = np.zeros(mesh.n_points)
         self.dirichlet[body] = -background.swirl_stream(np.hypot(*mesh.points[body].T))
         self._bind_gas(gas)
 
     def _sample(self, cells):
-        """Sum over cells, the sector's triangles or the whole mesh's, and
-        sample the background gradient at their centroids."""
+        """Sum over cells, the reduction's triangles or the whole mesh's,
+        and sample the background gradient at their centroids."""
         self.cells = cells
         self.g0 = self.background.stream_gradient(cells.centroids)
 
@@ -219,8 +220,7 @@ class IterateState:
 
     u_full, the correction gradient du, the total gradient w = du + g0 and
     s = |w|^2 per triangle; flux(*orders) evaluates each derivative of F at
-    s once, the first time it is asked for.  keep_hessian_inputs() drops
-    what the Hessian does not read.
+    s once, the first time it is asked for.
     """
 
     def __init__(self, problem, u_red):
@@ -235,16 +235,8 @@ class IterateState:
         have = self._flux
         missing = tuple(k for k in orders if k not in have)
         if missing:
-            s = self.s
-            if s is None:  # released: evaluate from w and keep nothing new
-                have, s = dict(have), np.sum(self.w**2, axis=-1)
-            have.update(zip(missing, self.gas.flux_eval(s, missing)))
+            have.update(zip(missing, self.gas.flux_eval(self.s, missing)))
         return tuple(have[k] for k in orders)
-
-    def keep_hessian_inputs(self):
-        """Release u_full, du, s and F: the Hessian reads only w, F' and F''."""
-        self.u_full = self.du = self.s = None
-        self._flux.pop(0, None)
 
 
 @dataclass
@@ -363,7 +355,6 @@ def solve(problem, initial=None):
             )
         if it == NEWTON_MAX_ITERATIONS:
             break
-        state.keep_hessian_inputs()
         eta = _forcing_term(gnorm, history[-2] if it else None)
         step, cg_iterations, converged = _newton_direction(problem, u, g, state, eta)
         if not converged:
@@ -382,7 +373,6 @@ def solve(problem, initial=None):
         # noise; by convexity so small a decrement puts the iterate in
         # Newton's quadratic region, where the full step is right.
         t = 1.0
-        state = None  # freed before a trial builds its own
         trial = u + step
         state = IterateState(problem, trial)
         if not 0.0 <= -slope <= 1e-13 * (1.0 + abs(energy)):

@@ -250,6 +250,14 @@ class TestExitCodes:
                 3,
                 "numerical failure: no admissible body state",
             ),
+            # the JSON reader accepts NaN and Infinity; the config does not
+            ("solve", {"gamma": float("nan")}, 2, "config error: gamma: "),
+            (
+                "critical",
+                {"tolerances": {"critical_tol": float("nan")}},
+                2,
+                "config error: tolerances.critical_tol: ",
+            ),
         ],
     )
     def test_documented_exit_without_traceback(

@@ -8,6 +8,8 @@ import pytest
 from spiralflow.config import config_blob_sha1, parse_config
 from spiralflow.errors import ConfigError
 
+NAN, INF = float("nan"), float("inf")
+
 
 def _doc(**overrides):
     doc = {
@@ -109,12 +111,36 @@ class TestValidation:
             ({"axis": "kappa1", "search": {"lo": 0.0}}, "search.lo"),
             ({"ladder": {"lo": 0.5, "hi": 1.5, "n_seq": 3}}, "ladder.hi"),
             ({"ladder": {"lo": -1.5, "hi": 0.5}}, "ladder.lo"),
+            # NaN passes every range check written as a comparison, and
+            # infinity some; the JSON reader accepts both and reads 1e400
+            # and a 400-digit integer as infinite
+            ({"gamma": NAN}, "gamma"),
+            ({"gamma": INF}, "gamma"),
+            ({"kappa2": NAN}, "kappa2"),
+            ({"mesh": {"h": NAN, "R_out": 8.0}}, "mesh.h"),
+            ({"mesh": {"h": INF, "R_out": 8.0}}, "mesh.h"),
+            ({"mesh": {"h": 0.25, "R_out": NAN}}, "mesh.R_out"),
+            ({"mesh": {"h": 0.25, "R_out": INF}}, "mesh.R_out"),
+            ({"mesh": {"h": 0.25, "R_out": 10**400}}, "mesh.R_out"),
+            ({"body": {"kind": "circle", "a": NAN}}, "body.a"),
+            ({"tolerances": {"critical_tol": NAN}}, "tolerances.critical_tol"),
+            ({"tolerances": {"newton_tol": INF}}, "tolerances.newton_tol"),
+            ({"radial": {"r_max": INF}}, "radial.r_max"),
+            ({"eps_schedule": [0.2, NAN]}, "eps_schedule[1]"),
+            ({"search": {"lo": -INF}}, "search.lo"),
+            ({"ladder": {"annulus": [1.5, NAN]}}, "ladder.annulus[1]"),
         ],
     )
     def test_field_paths(self, overrides, path):
         with pytest.raises(ConfigError) as exc:
             _parse(**overrides)
         assert exc.value.field == path
+
+    def test_overflowing_literal(self):
+        raw = json.dumps(_doc()).encode().replace(b'"h": 0.25', b'"h": 1e400')
+        with pytest.raises(ConfigError) as exc:
+            parse_config(raw)
+        assert exc.value.field == "mesh.h"
 
     def test_missing_spec_version(self):
         doc = _doc()
@@ -170,6 +196,8 @@ class TestSweepValues:
             ({"values": [0.5, 1.2]}, "grid.values[1]"),
             ({"start": 0.0, "stop": 1.0, "num": 5}, "grid.stop"),
             ({"start": -1.0, "stop": 0.5, "num": 4}, "grid.start"),
+            ({"values": [0.1, NAN]}, "grid.values[1]"),
+            ({"start": 0.1, "stop": INF, "num": 3}, "grid.stop"),
         ],
     )
     def test_bad_grids(self, grid, path):

@@ -92,9 +92,9 @@ class TestRemoval:
         # the circle mesh is rotation invariant: the rungs solve on its
         # orbit reduction, and the background is sampled on the sector
         orbits = circle_mesh.reduction
-        assert circle_mesh.rotation.k == circle_mesh.n_cols
+        assert circle_mesh.rotation.k == circle_mesh.body_nodes.size
         assert first.restriction is orbits.restriction
-        assert first.cells is orbits.sector
+        assert first.cells is orbits.cells
         assert calls == [circle_mesh.n_triangles // circle_mesh.rotation.k]
 
     def test_wavy_body_certifies_past_roundoff_stall(self):

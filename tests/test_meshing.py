@@ -17,6 +17,8 @@ from spiralflow.meshing import (
 )
 from spiralflow.vtkio import write_vtk
 
+from renumbering import renumbered
+
 
 @pytest.fixture(scope="module")
 def circle_mesh():
@@ -70,8 +72,10 @@ class TestBodies:
 class TestTopology:
     def test_counts(self, circle_mesh):
         m = circle_mesh
-        assert m.n_points == m.n_rings * m.n_cols
-        assert m.n_triangles == 2 * (m.n_rings - 1) * m.n_cols
+        n_cols = m.body_nodes.size
+        n_rings = m.n_points // n_cols
+        assert m.n_points == n_rings * n_cols
+        assert m.n_triangles == 2 * (n_rings - 1) * n_cols
 
     def test_euler_characteristic_is_zero(self, circle_mesh, wavy_mesh):
         # annulus: V - E + F_tri = 0 once the outer face is dropped
@@ -81,8 +85,8 @@ class TestTopology:
     def test_watertight(self, circle_mesh):
         edges, counts = circle_mesh.edges(return_counts=True)
         assert set(np.unique(counts)) == {1, 2}
-        # boundary edges: one ring of n_cols segments on each boundary
-        assert int(np.sum(counts == 1)) == 2 * circle_mesh.n_cols
+        # boundary edges: one ring of segments on each boundary
+        assert int(np.sum(counts == 1)) == 2 * circle_mesh.body_nodes.size
 
     def test_orientation_ccw(self, circle_mesh, wavy_mesh):
         assert np.all(circle_mesh.areas > 0.0)
@@ -90,8 +94,9 @@ class TestTopology:
 
     def test_body_edges_form_closed_cycle(self, circle_mesh):
         be = circle_mesh.body_edge_list()
-        assert len(be) == circle_mesh.n_cols
-        assert np.array_equal(np.sort(be[:, 0]), np.arange(circle_mesh.n_cols))
+        n_cols = circle_mesh.body_nodes.size
+        assert len(be) == n_cols
+        assert np.array_equal(np.sort(be[:, 0]), np.arange(n_cols))
         assert set(be[:, 1]) == set(be[:, 0])
 
     def test_refinement_quadruples_triangles(self):
@@ -120,7 +125,7 @@ class TestGeometry:
 
     def test_grading_is_geometric(self, circle_mesh):
         m = circle_mesh
-        col0 = m.points[:: m.n_cols]  # ring radii along theta = 0
+        col0 = m.points[:: m.body_nodes.size]  # ring radii along theta = 0
         r = np.hypot(col0[:, 0], col0[:, 1])
         ratios = r[1:] / r[:-1]
         assert np.allclose(ratios, ratios[0], rtol=1e-12)
@@ -160,8 +165,9 @@ class TestColumnRule:
         assert body.rotation_order() == mode
         mesh = build_annulus_mesh(body, outer_radius=8.0, target_h=h)
         arc = math.ceil(2.0 * math.pi * 1.2 / h)
-        assert mesh.n_cols % mode == 0
-        assert 0 <= mesh.n_cols - arc < mode
+        n_cols = mesh.body_nodes.size
+        assert n_cols % mode == 0
+        assert 0 <= n_cols - arc < mode
         assert mesh.rotation.k == mode
         assert mesh.min_angle_deg() >= MIN_ANGLE_DEG
 
@@ -169,27 +175,19 @@ class TestColumnRule:
     def test_circle_columns_unchanged(self, radius, h):
         assert Circle(radius).rotation_order() == 1
         mesh = build_annulus_mesh(Circle(radius), outer_radius=8.0 * radius, target_h=h)
-        assert mesh.n_cols == max(8, math.ceil(2.0 * math.pi * radius / h))
-        assert mesh.rotation.k == mesh.n_cols
+        n_cols = mesh.body_nodes.size
+        assert n_cols == max(8, math.ceil(2.0 * math.pi * radius / h))
+        assert mesh.rotation.k == n_cols
 
 
 class TestAssembly:
     def test_fixed_pattern_matches_triple_product(self, lopsided_mesh):
         # oracle: full COO assembly, then restriction^T K restriction, on a
         # permuted numbering so the pattern is not banded
-        rng = np.random.default_rng(14)
-        perm = rng.permutation(lopsided_mesh.n_points)
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(lopsided_mesh.n_points)
-        mesh = TriangleMesh(
-            lopsided_mesh.points[inv],
-            perm[lopsided_mesh.triangles],
-            perm[lopsided_mesh.body_nodes],
-            perm[lopsided_mesh.outer_nodes],
-        )
+        mesh = renumbered(lopsided_mesh, 14)
         assert mesh.rotation.k == 1
         red = mesh.reduction
-        x = rng.standard_normal((mesh.n_triangles, 2, 2))
+        x = np.random.default_rng(15).standard_normal((mesh.n_triangles, 2, 2))
         t = mesh.triangles
         rows, cols = np.repeat(t, 3, axis=1).ravel(), np.tile(t, 3).ravel()
         for coef in (np.broadcast_to(np.eye(2), x.shape), x @ x.transpose(0, 2, 1)):

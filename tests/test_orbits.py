@@ -1,10 +1,11 @@
 """Rotation symmetry: detection from the geometry and the orbit-reduced solve.
 
-A mesh that a rotation by 2 pi / k maps onto itself is solved with one
-unknown per node orbit on one triangle per triangle orbit.  The full
-path is forced by making the detection report k = 1, so these tests pin
-that the sector solve is the full solve up to roundoff, and that the
-detection refuses every mesh the rotation does not map onto itself.
+Every mesh is solved with one unknown per node orbit on one triangle per
+triangle orbit; without a rotation symmetry k = 1 and each orbit is a
+single node or triangle.  Making the detection report k = 1 forces that
+trivial orbit on a symmetric mesh, so these tests pin that the sector
+solve is the full solve up to roundoff, and that the detection refuses
+every mesh the rotation does not map onto itself.
 """
 
 import os
@@ -23,6 +24,8 @@ from spiralflow import solver as sv
 from spiralflow.gas import GasModel
 from spiralflow.meshing import Circle, PerturbedCircle, TriangleMesh, build_annulus_mesh
 from spiralflow.radial import RadialBackground
+
+from renumbering import renumbered
 
 ROOT = Path(__file__).resolve().parent.parent
 WAVY = PerturbedCircle(1.2, 0.1, 3)
@@ -46,28 +49,14 @@ CASES = {
 }
 
 
-def _renumbered(mesh, seed):
-    """The same mesh with nodes and triangles in a seeded random order."""
-    if seed == 0:
-        return mesh
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(mesh.n_points)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(mesh.n_points)
-    order = rng.permutation(mesh.n_triangles)
-    return TriangleMesh(
-        mesh.points[inv], perm[mesh.triangles][order], perm[mesh.body_nodes], perm[mesh.outer_nodes]
-    )
-
-
 def _no_rotation(mesh):
-    return meshing.Rotation(1)
+    return meshing.Rotation(1, np.arange(mesh.n_points))
 
 
 def _removal(case, seed):
     """Every rung's solution of one removal, and the removal."""
     body, r_out, h, k1, k2 = CASES[case]
-    mesh = _renumbered(build_annulus_mesh(body, r_out, h), seed)
+    mesh = renumbered(build_annulus_mesh(body, r_out, h), seed)
     bg = RadialBackground(GasModel(2.0, 0.1), k1, k2)
     solutions = []
     real = ct.solve
@@ -105,9 +94,9 @@ class TestDetection:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_largest_rotation_found(self, seed):
         circle = build_annulus_mesh(Circle(1.0), 8.0, 0.1)
-        assert _renumbered(circle, seed).rotation.k == circle.body_nodes.size
+        assert renumbered(circle, seed).rotation.k == circle.body_nodes.size
         for h in (0.21, 0.105):
-            assert _renumbered(build_annulus_mesh(WAVY, 16.0, h), seed).rotation.k == 3
+            assert renumbered(build_annulus_mesh(WAVY, 16.0, h), seed).rotation.k == 3
 
     @pytest.mark.parametrize(
         "body, h, n_cols",
@@ -119,15 +108,23 @@ class TestDetection:
         ids=["wavy151", "wavy302", "mode1"],
     )
     def test_no_rotation(self, body, h, n_cols):
+        # the trivial orbit: every node its own orbit, on the mesh itself
         mesh = build_annulus_mesh(body, 16.0, h)
-        assert mesh.n_cols == n_cols
-        assert mesh.rotation.k == 1
-        assert mesh.reduction.sector is None and mesh.reduction.multiplicity is None
+        assert mesh.body_nodes.size == n_cols
+        rotation, red = mesh.rotation, mesh.reduction
+        assert rotation.k == 1
+        assert np.array_equal(rotation.node_orbits, np.arange(mesh.n_points))
+        assert red.cells is mesh
+        assert red.restriction.shape == (mesh.n_points, mesh.interior.size + 1)
+        assert np.array_equal(red.multiplicity, np.ones(mesh.interior.size + 1))
+        g = np.random.default_rng(8).standard_normal(mesh.interior.size + 1)
+        assert _rel(red.norm(g), np.linalg.norm(g)) <= 1e-15
 
     def test_flipped_diagonal_breaks_rotation(self):
         # the points stay invariant, one quad's triangles do not
         mesh = build_annulus_mesh(Circle(1.0), 8.0, 0.25)
-        a, b, c, d = 0, 1, mesh.n_cols + 1, mesh.n_cols
+        n_cols = mesh.body_nodes.size
+        a, b, c, d = 0, 1, n_cols + 1, n_cols
         assert {tuple(mesh.triangles[0]), tuple(mesh.triangles[1])} == {(a, d, c), (a, c, b)}
         tris = mesh.triangles.copy()
         tris[0], tris[1] = (a, d, b), (b, d, c)
@@ -152,7 +149,7 @@ class TestDetection:
     def test_orbit_reduction_is_the_restricted_laplacian(self, monkeypatch):
         # restriction^T K restriction over the whole mesh, from one
         # triangle per orbit weighted by k
-        mesh = _renumbered(build_annulus_mesh(WAVY, 16.0, 0.21), 3)
+        mesh = renumbered(build_annulus_mesh(WAVY, 16.0, 0.21), 3)
         k = mesh.rotation.k
         t = mesh.triangles
         eye = np.broadcast_to(np.eye(2), (mesh.n_triangles, 2, 2))
@@ -161,7 +158,7 @@ class TestDetection:
             (mesh.local_stiffness(eye).ravel(), (rows, cols)), shape=(mesh.n_points,) * 2
         ).tocsr()
         red = mesh.reduction
-        assert red.sector.triangles.shape[0] * k == mesh.n_triangles
+        assert red.cells.triangles.shape[0] * k == mesh.n_triangles
         expect = (red.restriction.T @ nodal @ red.restriction).toarray()
         err = np.max(np.abs(red.laplacian.toarray() - expect))
         assert err <= 1e-13 * np.max(np.abs(expect))
@@ -274,7 +271,7 @@ class TestWholeView:
         mesh = build_annulus_mesh(WAVY, 16.0, 0.21)
         gas = GasModel(2.0, 0.1)
         pr = sv.FlowProblem(gas, RadialBackground(gas, 0.3, 0.2), mesh)
-        assert pr.cells is mesh.reduction.sector
+        assert pr.cells is mesh.reduction.cells
         assert pr.g0.shape == (mesh.n_triangles // 3, 2)
         whole = pr.whole
         assert whole is pr.whole

@@ -12,6 +12,8 @@ from spiralflow.meshing import Circle, PerturbedCircle, TriangleMesh, build_annu
 from spiralflow.radial import RadialBackground
 from spiralflow import solver as sv
 
+from renumbering import renumbered
+
 
 def truncation_active(sol):
     """True when some triangle reaches the blended part of the flux law."""
@@ -283,17 +285,10 @@ class TestInvariance:
 
     def test_node_permutation_invariance(self, gas, wavy_solution):
         mesh = wavy_solution.problem.mesh
-        rng = np.random.default_rng(12)
-        perm = rng.permutation(mesh.n_points)
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(mesh.n_points)
-        pmesh = TriangleMesh(
-            mesh.points[inv],
-            perm[mesh.triangles],
-            perm[mesh.body_nodes],
-            perm[mesh.outer_nodes],
-            body_theta=mesh.body_theta,
-        )
+        pmesh = renumbered(mesh, 12)
+        # perm[old] = new: the renumbering moves every point unchanged
+        perm = np.empty(mesh.n_points, dtype=np.int64)
+        perm[np.lexsort(mesh.points.T)] = np.lexsort(pmesh.points.T)
         bg = wavy_solution.problem.background
         psol = sv.solve(sv.FlowProblem(gas, bg, pmesh))
         assert np.max(np.abs(psol.u_full[perm] - wavy_solution.u_full)) <= 1e-8
@@ -564,19 +559,6 @@ class TestIterateState:
                 assert np.array_equal(h_state.indptr, h_plain.indptr)
                 assert np.array_equal(h_state.indices, h_plain.indices)
                 assert np.array_equal(h_state.data, h_plain.data)
-
-    def test_state_kept_for_the_hessian(self, wavy_problem):
-        # the solve releases all but w and F' before the Hessian, which
-        # then evaluates F'' from w without keeping it
-        u = 0.05 * np.random.default_rng(22).standard_normal(wavy_problem.n_reduced)
-        st = sv.IterateState(wavy_problem, u)
-        st.flux(0, 1)
-        st.keep_hessian_inputs()
-        assert st.u_full is None and st.du is None and st.s is None
-        h_kept = wavy_problem.hessian(u, st)
-        assert list(st._flux) == [1]
-        h_plain = wavy_problem.hessian(u)
-        assert np.array_equal(h_kept.data, h_plain.data)
 
     def test_s_max_and_q_max_from_final_state(self, wavy_solution):
         # the solve's final state: on the sector the solve ran on

@@ -4,7 +4,10 @@ bench/tracer.py replaces class attributes and module globals by name and
 skips a name it no longer finds, so a rename or a flux law evaluated
 outside GasModel.flux_eval would quietly empty or skew a per-layer
 metric (gas.flux_eval_s, solver.energy_evals, solver.backtracks) rather
-than fail.  These checks make such a change fail here instead.
+than fail.  Likewise a mesh that bench/workloads.py renumbers and that
+lost its rotation symmetry would leave the orbit path and slow every
+workload rather than fail.  These checks make such a change fail here
+instead.
 """
 
 import importlib.util
@@ -18,7 +21,7 @@ from spiralflow import cli, config, radial, vtkio
 from spiralflow import continuation as ct
 from spiralflow import gas, meshing
 from spiralflow import solver as sv
-from spiralflow.meshing import PerturbedCircle, build_annulus_mesh
+from spiralflow.meshing import Circle, PerturbedCircle, build_annulus_mesh
 from spiralflow.radial import RadialBackground
 
 
@@ -46,10 +49,10 @@ def test_solver_module_globals():
     assert sv.spla is scipy.sparse.linalg
 
 
-def _bench_tracer():
-    """bench/tracer.py as the benchmark runs it, loaded from this checkout."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+def _bench(name):
+    """bench/<name>.py as the benchmark runs it, loaded from this checkout."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -64,7 +67,7 @@ def test_bench_tracer_installs_and_restores():
     owners = (cli, config, ct, gas, meshing, radial, sv, vtkio)
     owners += (gas.GasModel, radial.RadialBackground, sv.FlowProblem)
     before = [(owner, dict(vars(owner))) for owner in owners]
-    tracer = _bench_tracer().Tracer()
+    tracer = _bench("tracer").Tracer()
     tracer.install()
     try:
         patched = [(owner, attr) for owner, attr, _ in tracer._undo]
@@ -196,3 +199,14 @@ def test_newton_work_goes_through_traced_methods(monkeypatch, h, k):
     assert entered.count("gradient") == steps + len(rem.rungs)
     assert entered.count("hessian") == steps
     assert entered.count("energy") >= steps + len(rem.rungs)
+
+
+def test_bench_meshes_stay_on_the_orbit_path():
+    """The benchmark's renumbered meshes keep the mesh's rotation symmetry:
+    3-fold on the wavy body, one turn per body node on the circle."""
+    workloads = _bench("workloads")
+    for h in workloads.WavyRefine.spacings["full"]:
+        mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, 3), 16.0, h)
+        assert workloads.renumbered(mesh, 1).rotation.k == 3
+    mesh = build_annulus_mesh(Circle(1.0), 20.0, workloads.CircleCritical.spacings["full"])
+    assert workloads.renumbered(mesh, 1).rotation.k == mesh.body_nodes.size
