@@ -175,7 +175,7 @@ def solve_with_truncation_removal(
                 q_max=sol.q_max,
                 energy=sol.energy,
                 newton_iterations=sol.newton_iterations,
-                certified=sol.s_max < 1.0 - 2.0 * eps,
+                certified=sol.s_max < problem.gas.s_blend_lo,
             )
         )
         if rungs[-1].certified:

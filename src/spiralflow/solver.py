@@ -24,9 +24,11 @@ solves run on, and factors its Laplacian once.
 
 Energy, gradient and Hessian at one iterate share an IterateState, which
 evaluates each derivative of F there once; without one they build their own.
-A solution has one state too, FlowSolution.state, on the whole mesh: every
-post-solve diagnostic reads it, so a solution's gradient and F' are each
-computed once however many diagnostics run.
+A solution has one state too, FlowSolution.state, on every triangle of the
+mesh: every post-solve diagnostic reads it, so a solution's gradient and F'
+are each computed once however many diagnostics run.  The Newton gradient
+and both weak residuals are one weak form, nodal sums of
+area * flux . grad(hat), over the problem's cells or over the whole mesh.
 
 Newton is inexact: each step's CG solve stops at a forcing term, loose
 far from the minimizer and O(|g|) near it, floored at CG_RTOL
@@ -47,9 +49,7 @@ and s_max, q_max and the removal certificate come from the solve's
 final state; for k > 1 they are exact for that discrete problem, which
 differs from the full one only by the roundoff in the rotated
 coordinates.  full_vector and FlowSolution.u_full give u on every node,
-and FlowSolution.state is built on the problem's whole-mesh view, which
-sums over every triangle with the same unknowns.  With k = 1 the problem
-is its own whole view.
+from which FlowSolution.state is built on every triangle.
 """
 
 import copy
@@ -115,17 +115,12 @@ class FlowProblem:
         self.reduction = mesh.reduction
         self.restriction = self.reduction.restriction
         self.n_reduced = self.restriction.shape[1]
-        self._sample(self.reduction.cells)
+        self.cells = self.reduction.cells
+        self.g0 = background.stream_gradient(self.cells.centroids)
         body = mesh.body_nodes
         self.dirichlet = np.zeros(mesh.n_points)
         self.dirichlet[body] = -background.swirl_stream(np.hypot(*mesh.points[body].T))
         self._bind_gas(gas)
-
-    def _sample(self, cells):
-        """Sum over cells, the reduction's triangles or the whole mesh's,
-        and sample the background gradient at their centroids."""
-        self.cells = cells
-        self.g0 = self.background.stream_gradient(cells.centroids)
 
     def _bind_gas(self, gas):
         self.gas = gas
@@ -134,29 +129,8 @@ class FlowProblem:
     def with_gas(self, gas):
         """The same problem under another flux law (same gamma, new eps)."""
         other = copy.copy(self)
-        other.__dict__.pop("_whole", None)
         other._bind_gas(gas)
         return other
-
-    @property
-    def whole(self):
-        """This problem on every triangle of the mesh, for the diagnostics.
-
-        A problem that solves on a sector builds it on first use: the
-        same unknowns, gas, background and Dirichlet data, with the
-        triangles and the background gradient of the whole mesh.  Its
-        energy and gradient equal the sector's for the same unknowns; its
-        Hessian is not defined, since the reduced pattern is the sector's.
-        It builds no Reduction.  Any other problem is its own whole view.
-        """
-        if self.cells is self.mesh:
-            return self
-        if "_whole" not in self.__dict__:
-            whole = copy.copy(self)
-            whole._sample(self.mesh)
-            whole._bind_gas(self.gas)
-            self._whole = whole
-        return self._whole
 
     # ------------------------------------------------------------------
 
@@ -164,70 +138,65 @@ class FlowProblem:
         """The correction u on every node of the mesh."""
         return self.restriction @ u_red + self.dirichlet
 
-    def u_gradients(self, u_full):
-        """Gradient of the P1 field on each of the problem's triangles, (n, 2)."""
-        vals = u_full[self.cells.triangles]
-        return np.einsum("ti,tia->ta", vals, self.cells.shape_gradients)
+    def state(self, u_red):
+        """The IterateState at a reduced iterate, on the problem's cells."""
+        return IterateState(self.gas, self.cells, self.g0, self.full_vector(u_red))
 
     def energy(self, u_red, state=None):
-        st = IterateState(self, u_red) if state is None else state
+        st = self.state(u_red) if state is None else state
         (f,) = st.flux(0)
         dens = f - self._f_s0 - 2.0 * self._fp_s0 * np.sum(self.g0 * st.du, axis=-1)
         contrib = self.cells.areas * dens
         check_finite(contrib, "energy")
         return float(np.sum(contrib))
 
-    def gradient_full(self, state, include_background_correction=True):
-        """Nodal energy gradient at the state's iterate in the full space.
-
-        With the correction switched off this is the plain weak form of
-        the flow equation tested against every hat function, background
-        term included; the difference is the discrete radial defect.  On
-        a sector the triangles outside it contribute nothing.
-        """
-        (fp,) = state.flux(1)
-        flux = fp[:, None] * state.w
-        if include_background_correction:
-            flux = flux - self._fp_s0[:, None] * self.g0
-        contrib = 2.0 * self.cells.areas[:, None] * np.einsum(
-            "ta,tia->ti", flux, self.cells.shape_gradients
-        )
-        check_finite(contrib, "gradient")
-        return np.bincount(
-            self.cells.triangles.ravel(),
-            weights=contrib.ravel(),
-            minlength=self.mesh.n_points,
-        )
-
     def gradient(self, u_red, state=None):
-        st = IterateState(self, u_red) if state is None else state
-        return self.restriction.T @ self.gradient_full(st)
+        st = self.state(u_red) if state is None else state
+        (fp,) = st.flux(1)
+        flux = 2.0 * (fp[:, None] * st.w - self._fp_s0[:, None] * self.g0)
+        check_finite(flux, "gradient")
+        return self.restriction.T @ _weak_form(self.cells, flux, self.mesh.n_points)
 
     def hessian(self, u_red, state=None):
-        st = IterateState(self, u_red) if state is None else state
+        st = self.state(u_red) if state is None else state
         return self.reduction.assemble(
             self.cells.local_stiffness(2.0 * self.gas.coefficient_matrix(st.w, st.flux(1, 2)))
         )
 
     def dirichlet_seminorm_sq(self, u_full):
-        du = self.u_gradients(u_full)
+        du = _p1_gradient(self.cells, u_full)
         return float(np.sum(self.cells.areas * np.sum(du**2, axis=-1)))
 
 
-class IterateState:
-    """What energy, gradient and hessian share at one reduced iterate of one
-    problem, and what the post-solve diagnostics read at a solution.
+def _p1_gradient(cells, u_full):
+    """Gradient of the P1 field u_full on each of the cells, (n, 2)."""
+    return np.einsum("ti,tia->ta", u_full[cells.triangles], cells.shape_gradients)
 
-    u_full, the correction gradient du, the total gradient w = du + g0 and
-    s = |w|^2 per triangle; flux(*orders) evaluates each derivative of F at
-    s once, the first time it is asked for.
+
+def _weak_form(cells, flux, n_points):
+    """Nodal sums of area * flux . grad(hat) over the cells, (n_points,):
+    a per-triangle flux tested against every node's hat function."""
+    contrib = cells.areas[:, None] * np.einsum("ta,tia->ti", flux, cells.shape_gradients)
+    return np.bincount(cells.triangles.ravel(), weights=contrib.ravel(), minlength=n_points)
+
+
+class IterateState:
+    """What energy, gradient and hessian share at one iterate, and what the
+    post-solve diagnostics read at a solution.
+
+    On some cells (a problem's, or the whole mesh) with the background
+    gradient g0 at their centroids: u_full, the correction gradient du,
+    the total gradient w = du + g0 and s = |w|^2 per cell; flux(*orders)
+    evaluates each derivative of F at s once, the first time it is asked
+    for.
     """
 
-    def __init__(self, problem, u_red):
-        self.gas = problem.gas
-        self.u_full = problem.full_vector(u_red)
-        self.du = problem.u_gradients(self.u_full)
-        self.w = self.du + problem.g0
+    def __init__(self, gas, cells, g0, u_full):
+        self.gas = gas
+        self.g0 = g0
+        self.u_full = u_full
+        self.du = _p1_gradient(cells, u_full)
+        self.w = self.du + g0
         self.s = np.sum(self.w**2, axis=-1)
         self._flux = {}
 
@@ -260,7 +229,10 @@ class FlowSolution:
         """The minimizer's IterateState on every triangle of the mesh, built
         on first use; every post-solve diagnostic reads it: du, the total
         gradient w = grad psi, s = |w|^2 and F' per triangle."""
-        return IterateState(self.problem.whole, self.u_reduced)
+        pr = self.problem
+        mesh = pr.mesh
+        g0 = pr.background.stream_gradient(mesh.centroids)
+        return IterateState(pr.gas, mesh, g0, self.u_full)
 
 
 def _forcing_term(gnorm, prev_gnorm):
@@ -280,7 +252,7 @@ def _forcing_term(gnorm, prev_gnorm):
     return max(CG_RTOL, eta)
 
 
-def _newton_direction(problem, u, g, state=None, rtol=CG_RTOL):
+def _newton_direction(problem, u, g, state, rtol):
     """(d, iterations, converged) for H(u) d = -g by Laplacian-preconditioned CG
     to residual rtol |g|."""
     h = problem.hessian(u, state)
@@ -327,7 +299,7 @@ def solve(problem, initial=None):
     u = np.zeros(problem.n_reduced) if initial is None else np.asarray(initial, float).copy()
     if u.shape != (problem.n_reduced,):
         raise ConfigError("initial", "initial iterate has the wrong size")
-    state = IterateState(problem, u)
+    state = problem.state(u)
     history = []
     energies = []
     linear = []
@@ -374,7 +346,7 @@ def solve(problem, initial=None):
         # Newton's quadratic region, where the full step is right.
         t = 1.0
         trial = u + step
-        state = IterateState(problem, trial)
+        state = problem.state(trial)
         if not 0.0 <= -slope <= 1e-13 * (1.0 + abs(energy)):
             while not problem.energy(trial, state) <= energy + 1e-4 * t * slope:
                 t *= 0.5
@@ -385,7 +357,7 @@ def solve(problem, initial=None):
                         history=history,
                     )
                 trial = u + t * step
-                state = IterateState(problem, trial)
+                state = problem.state(trial)
         u = trial
     raise NonConvergenceError(
         f"Newton did not reach tol {problem.newton_tol:g} "
@@ -446,19 +418,18 @@ def weak_residuals(sol, include_background=False):
     far-field gauge function is excluded either way: against it the raw
     form measures the physical source flux, not an error).
     """
-    pr = sol.problem.whole
-    mesh = pr.mesh
+    mesh = sol.problem.mesh
     interior = mesh.interior
     norms = mesh.hat_norms[interior]
     st = sol.state
-    g_irr = pr.gradient_full(st, include_background_correction=not include_background)
-    irrot = float(np.max(np.abs(g_irr[interior]) / (2.0 * norms)))
+    flux = st.flux(1)[0][:, None] * st.w
+    if not include_background:
+        (fp0,) = sol.problem.gas.flux_eval(np.sum(st.g0**2, axis=-1), (1,))
+        flux = flux - fp0[:, None] * st.g0
+    g_irr = _weak_form(mesh, flux, mesh.n_points)
+    irrot = float(np.max(np.abs(g_irr[interior]) / norms))
 
-    flow = _rot(st.w if include_background else st.du)
-    contrib = mesh.areas[:, None] * np.einsum("ta,tia->ti", flow, mesh.shape_gradients)
-    m_full = np.bincount(
-        mesh.triangles.ravel(), weights=contrib.ravel(), minlength=mesh.n_points
-    )
+    m_full = _weak_form(mesh, _rot(st.w if include_background else st.du), mesh.n_points)
     mass = float(np.max(np.abs(m_full[interior]) / norms))
     return irrot, mass
 

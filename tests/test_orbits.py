@@ -251,6 +251,8 @@ def test_derivatives_at_an_invariant_iterate(case, monkeypatch):
 
 
 class TestWholeView:
+    """The diagnostics read the whole mesh from the solution's one state."""
+
     def test_no_view_without_rotation(self):
         mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, 1), 16.0, 0.3)
         assert mesh.rotation.k == 1
@@ -259,34 +261,13 @@ class TestWholeView:
         sv.recover_fields(sol)
         sv.weak_residuals(sol)
         sv.boundary_flux(sol)
-        pr = sol.problem
-        assert pr.whole is pr
-        assert pr.cells is mesh
-        assert "_whole" not in vars(pr)
+        assert sol.problem.cells is mesh
         # the diagnostics add the one cached state and nothing else
         assert set(vars(sol)) == {f.name for f in fields(sv.FlowSolution)} | {"state"}
         assert set(vars(rem)) == {f.name for f in fields(ct.RemovalResult)}
 
-    def test_view_built_once_per_gas(self):
-        mesh = build_annulus_mesh(WAVY, 16.0, 0.21)
-        gas = GasModel(2.0, 0.1)
-        pr = sv.FlowProblem(gas, RadialBackground(gas, 0.3, 0.2), mesh)
-        assert pr.cells is mesh.reduction.cells
-        assert pr.g0.shape == (mesh.n_triangles // 3, 2)
-        whole = pr.whole
-        assert whole is pr.whole
-        assert whole.cells is mesh and whole.whole is whole
-        assert whole.reduction is pr.reduction
-        assert whole.restriction is pr.restriction
-        assert whole.g0.shape == (mesh.n_triangles, 2)
-        for name in ("gas", "background", "dirichlet", "mesh"):
-            assert getattr(whole, name) is getattr(pr, name)
-        other = pr.with_gas(GasModel(2.0, 0.05))
-        assert other.whole is not whole
-        assert other.whole.gas is other.gas
-
     def test_one_reduction_per_mesh(self, monkeypatch):
-        # the whole view reuses the solve's unknowns and builds none
+        # the solution's whole-mesh state reuses the solve's unknowns and builds none
         built = []
         real = meshing.Reduction
 
@@ -301,18 +282,8 @@ class TestWholeView:
         sv.recover_fields(sol)
         sv.weak_residuals(sol)
         assert mesh.rotation.k == 3
-        assert sol.problem.whole is not sol.problem
+        assert sol.state.s.shape == (mesh.n_triangles,)
         assert built == [mesh.reduction]
-
-    def test_whole_view_energy_and_gradient(self):
-        # the same unknowns summed over every triangle instead of one per orbit
-        mesh = build_annulus_mesh(WAVY, 16.0, 0.21)
-        gas = GasModel(2.0, 0.05)
-        pr = sv.FlowProblem(gas, RadialBackground(gas, 0.3, 0.2), mesh)
-        u = 0.05 * np.random.default_rng(6).standard_normal(pr.n_reduced)
-        assert _rel(pr.whole.energy(u), pr.energy(u)) <= 1e-13
-        g, g_whole = pr.gradient(u), pr.whole.gradient(u)
-        assert np.max(np.abs(g_whole - g)) <= 1e-13 * np.max(np.abs(g))
 
 
 def test_no_spatial_index_imported():

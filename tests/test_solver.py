@@ -1,7 +1,10 @@
 """Solver checks: exact anchors, derivatives, convexity, and invariances."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from spiralflow import continuation as ct
@@ -61,7 +64,7 @@ class TestCircleAnchor:
         bg = RadialBackground(gas, 0.3, 0.2)
         mesh = build_annulus_mesh(Circle(1.3), 20.0, 0.25)
         sol = sv.solve(sv.FlowProblem(gas, bg, mesh, newton_tol=1e-13))
-        du = np.linalg.norm(sol.problem.u_gradients(sol.u_full), axis=-1)
+        du = np.linalg.norm(sol.state.du, axis=-1)
         assert np.max(du) <= 1e-10
 
     def test_wavy_body_needs_iterations(self, wavy_solution):
@@ -159,7 +162,9 @@ class TestLinearSolve:
         n = wavy_problem.n_reduced
         for u in (np.zeros(n), 0.05 * rng.standard_normal(n)):
             g = wavy_problem.gradient(u)
-            step, iterations, converged = sv._newton_direction(wavy_problem, u, g)
+            step, iterations, converged = sv._newton_direction(
+                wavy_problem, u, g, wavy_problem.state(u), sv.CG_RTOL
+            )
             direct = spla.splu(wavy_problem.hessian(u)).solve(-g)  # the oracle
             assert converged and 1 <= iterations <= sv.CG_MAX_ITERATIONS
             assert np.linalg.norm(step - direct) <= 1e-8 * np.linalg.norm(direct)
@@ -363,9 +368,9 @@ class TestDiagnostics:
     def test_boundary_flux_matches_edge_loop(self, wavy_solution):
         # reference: the per-edge rule, one triangle lookup and one
         # background evaluation per body edge
-        pr = wavy_solution.problem.whole
+        pr = wavy_solution.problem
         mesh = pr.mesh
-        du = pr.u_gradients(wavy_solution.u_full)
+        du = wavy_solution.state.du
         expect = 0.0
         for a, b in mesh.body_edge_list():
             t = next(
@@ -440,7 +445,7 @@ class TestDiagnostics:
         bg = RadialBackground(gas, 0.3, 0.2)
         mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, 3), r_out, 0.3)
         sol = sv.solve(sv.FlowProblem(gas, bg, mesh))
-        assert np.max(np.linalg.norm(sol.problem.u_gradients(sol.u_full), axis=-1)) > 1e-2
+        assert np.max(np.linalg.norm(sol.state.du, axis=-1)) > 1e-2
         rep = sv.decay_report(sol)
         assert rep.ring_radii.size == n_rings
         assert not rep.exact_match
@@ -549,8 +554,8 @@ class TestIterateState:
         rng = np.random.default_rng(21)
         n = wavy_problem.n_reduced
         for u in (np.zeros(n), 0.05 * rng.standard_normal(n)):
-            fresh = sv.IterateState(wavy_problem, u)
-            primed = sv.IterateState(wavy_problem, u)
+            fresh = wavy_problem.state(u)
+            primed = wavy_problem.state(u)
             primed.flux(0, 1)  # as the solve primes each iterate
             for st in (fresh, primed):
                 assert wavy_problem.energy(u, st) == wavy_problem.energy(u)
@@ -562,7 +567,7 @@ class TestIterateState:
 
     def test_s_max_and_q_max_from_final_state(self, wavy_solution):
         # the solve's final state: on the sector the solve ran on
-        final = sv.IterateState(wavy_solution.problem, wavy_solution.u_reduced)
+        final = wavy_solution.problem.state(wavy_solution.u_reduced)
         s = final.s
         speed = np.sqrt(s) / (1.0 / final.flux(1)[0])  # as recover_fields
         assert wavy_solution.s_max == float(np.max(s))
@@ -572,37 +577,118 @@ class TestIterateState:
 class TestOneStatePerSolution:
     """Every post-solve diagnostic reads the solution's one whole-mesh state."""
 
-    @pytest.mark.parametrize(
-        "body, outer, h, whole_binding",
-        [
-            (PerturbedCircle(1.2, 0.1, 1), 16.0, 0.3, 0),  # k = 1: its own whole view
-            (Circle(1.0), 20.0, 0.25, 1),  # k > 1: the whole view binds its gas once
-        ],
-    )
-    def test_one_gradient_and_one_fprime(self, monkeypatch, gas, body, outer, h, whole_binding):
-        mesh = build_annulus_mesh(body, outer, h)
-        assert (mesh.rotation.k > 1) == bool(whole_binding)
-        sol = sv.solve(sv.FlowProblem(gas, RadialBackground(gas, 0.3, 0.2), mesh))
-        gradients, flux_orders = [], []
-        real_gradients, real_flux = sv.FlowProblem.u_gradients, GasModel.flux_eval
-
-        def u_gradients(self, u_full):
-            gradients.append(self.cells is mesh)
-            return real_gradients(self, u_full)
-
-        def flux_eval(self, s, orders=(0, 1, 2)):
-            flux_orders.append(tuple(orders))
-            return real_flux(self, s, orders)
-
-        monkeypatch.setattr(sv.FlowProblem, "u_gradients", u_gradients)
-        monkeypatch.setattr(GasModel, "flux_eval", flux_eval)
+    @staticmethod
+    def _diagnostics(sol):
         sv.recover_fields(sol)
         sv.weak_residuals(sol)
         sv.weak_residuals(sol, include_background=True)
         sv.boundary_flux(sol)
         sv.decay_report(sol)
         sv.background_gradient_error(sol)
+
+    @pytest.mark.parametrize(
+        "body, outer, h, symmetric",
+        [
+            (PerturbedCircle(1.2, 0.1, 1), 16.0, 0.3, 0),  # k = 1
+            (Circle(1.0), 20.0, 0.25, 1),  # k > 1: the solve ran on a sector
+        ],
+    )
+    def test_one_gradient_and_one_fprime(self, monkeypatch, gas, body, outer, h, symmetric):
+        mesh = build_annulus_mesh(body, outer, h)
+        assert (mesh.rotation.k > 1) == bool(symmetric)
+        sol = sv.solve(sv.FlowProblem(gas, RadialBackground(gas, 0.3, 0.2), mesh))
+        gradients, flux_orders = [], []
+        real_gradient, real_flux = sv._p1_gradient, GasModel.flux_eval
+
+        def p1_gradient(cells, u_full):
+            gradients.append(cells is mesh)
+            return real_gradient(cells, u_full)
+
+        def flux_eval(self, s, orders=(0, 1, 2)):
+            flux_orders.append(tuple(orders))
+            return real_flux(self, s, orders)
+
+        monkeypatch.setattr(sv, "_p1_gradient", p1_gradient)
+        monkeypatch.setattr(GasModel, "flux_eval", flux_eval)
+        self._diagnostics(sol)
         assert sol.state.s.shape == (mesh.n_triangles,)
         assert gradients == [True]
-        # the whole view's background binding asks for F and F' at g0
-        assert flux_orders == [(0, 1)] * whole_binding + [(1,)]
+        # F' at the state, then F' at the background for the corrected
+        # residual; F itself is never evaluated
+        assert flux_orders == [(1,), (1,)]
+
+    def test_no_problem_built_or_copied(self, monkeypatch, gas):
+        mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, 3), 16.0, 0.3)
+        assert mesh.rotation.k == 3
+        bg = RadialBackground(gas, 0.3, 0.2)
+        sol = sv.solve(sv.FlowProblem(gas, bg, mesh))
+        built, copied, sampled = [], [], []
+        real_init, real_copy = sv.FlowProblem.__init__, sv.copy.copy
+        real_sample = RadialBackground.stream_gradient
+
+        def init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        def copy(obj):
+            copied.append(obj)
+            return real_copy(obj)
+
+        def stream_gradient(self, points):
+            sampled.append(points is mesh.centroids)
+            return real_sample(self, points)
+
+        monkeypatch.setattr(sv.FlowProblem, "__init__", init)
+        monkeypatch.setattr(sv, "copy", SimpleNamespace(copy=copy))
+        monkeypatch.setattr(RadialBackground, "stream_gradient", stream_gradient)
+        self._diagnostics(sol)
+        assert built == [] and copied == []
+        assert sampled.count(True) == 1
+
+    @pytest.mark.parametrize("mode", [3, 1])
+    def test_weak_residuals_match_assembled_forms(self, gas, mode):
+        # oracle: both weak forms and the hat norms assembled triangle by
+        # triangle with coo_matrix, from shape gradients built here
+        mesh = build_annulus_mesh(PerturbedCircle(1.2, 0.1, mode), 16.0, 0.3)
+        assert mesh.rotation.k == mode
+        bg = RadialBackground(gas, 0.3, 0.2)
+        sol = sv.solve(sv.FlowProblem(gas, bg, mesh))
+        tri = mesh.triangles
+        p = mesh.points[tri]
+        e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        # grad of hat i is the rotated opposite edge over twice the area
+        opposite = np.roll(p, -2, axis=1) - np.roll(p, -1, axis=1)
+        grads = np.stack([-opposite[..., 1], opposite[..., 0]], axis=-1) / (2.0 * area)[:, None, None]
+        du = np.einsum("ti,tia->ta", sol.u_full[tri], grads)
+        g0 = bg.stream_gradient(p.mean(axis=1))
+        w = du + g0
+        (fp,) = gas.flux_eval(np.sum(w**2, axis=-1), (1,))
+        (fp0,) = gas.flux_eval(np.sum(g0**2, axis=-1), (1,))
+        n = mesh.n_points
+        rows = tri.ravel()
+
+        def tested(flux):
+            """area * flux . grad(hat) per triangle corner, flattened."""
+            return (area[:, None] * np.sum(flux[:, None, :] * grads, axis=-1)).ravel()
+
+        def assemble(vals):
+            return sp.coo_matrix((vals, (rows, np.zeros_like(rows))), shape=(n, 1)).toarray()[:, 0]
+
+        def rot(v):
+            return np.stack([v[:, 1], -v[:, 0]], axis=-1)
+
+        diag = (area[:, None] * np.sum(grads**2, axis=-1)).ravel()
+        norms = np.sqrt(sp.coo_matrix((diag, (rows, rows)), shape=(n, n)).tocsr().diagonal())
+        interior = np.setdiff1d(np.arange(n), np.concatenate([mesh.body_nodes, mesh.outer_nodes]))
+        norms = norms[interior]
+        for raw in (False, True):
+            flux = fp[:, None] * w if raw else fp[:, None] * w - fp0[:, None] * g0
+            for got, form in zip(
+                sv.weak_residuals(sol, include_background=raw), (flux, rot(w if raw else du))
+            ):
+                vals = tested(form)
+                expect = np.max(np.abs(assemble(vals)[interior]) / norms)
+                # roundoff of the sums the forms cancel down from
+                scale = np.max(assemble(np.abs(vals))[interior] / norms)
+                assert abs(got - expect) <= 1e-14 * scale
